@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use lcl_obs::export::{chrome_trace, ExportMode};
 use lcl_obs::Trace;
 
-use report::{cpu_ticks, fsync_calibration, ms, result_line, Outcome};
+use report::{fsync_calibration, ms, result_line, Outcome};
 
 /// Parsed command line.
 pub struct Args {
@@ -80,15 +80,12 @@ fn main() -> ExitCode {
     std::env::set_var("TMPDIR", &args.scratch);
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fsync = fsync_calibration(&args.scratch);
-    let ticks0 = cpu_ticks();
     let run = match args.workload.as_str() {
         "classify-mix" => classify_mix::run(&args),
         "local-sim" => local_sim::run(&args),
         "proc-sim" => proc_sim::run(&args),
         other => Err(format!("unknown workload {other:?}")),
     };
-    let ticks1 = cpu_ticks();
-    let steal = (ticks1.0 - ticks0.0) as f64 / (ticks1.1 - ticks0.1).max(1) as f64;
     let _ = std::fs::remove_dir_all(&args.scratch);
     let (mut outcome, trace): (Outcome, Trace) = match run {
         Ok(run) => run,
@@ -98,9 +95,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "host: nproc={nproc} fsync_ms={:.4} steal={:.1}% workload={} seed={} seconds={} trace={}",
+        "host: nproc={nproc} fsync_ms={:.4} workload={} seed={} seconds={} trace={}",
         ms(fsync),
-        steal * 100.0,
         args.workload,
         args.seed,
         args.seconds,
@@ -114,7 +110,6 @@ fn main() -> ExitCode {
         layers.push("mem.peak_rss_mb", outcome.peak_rss_mb, "MiB");
         layers.count("host.nproc", nproc as u64);
         layers.push("host.fsync_ms", ms(fsync), "ms");
-        layers.push("host.steal", steal, "fraction");
         let out = Path::new(".bench_out");
         let path = out.join(format!("{}-seed{}.trace.json", args.workload, args.seed));
         let written = std::fs::create_dir_all(out)

@@ -201,22 +201,6 @@ pub fn median_mb(mut peaks: Vec<f64>) -> f64 {
     peaks.get(peaks.len() / 2).copied().unwrap_or(0.0)
 }
 
-/// Host-wide CPU ticks from `/proc/stat`: (stolen by the hypervisor,
-/// total). Their change over a run is the share of the machine the run
-/// did not get.
-pub fn cpu_ticks() -> (u64, u64) {
-    let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
-    let ticks: Vec<u64> = stat
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|f| f.parse().ok())
-        .collect();
-    (ticks.get(7).copied().unwrap_or(0), ticks.iter().sum())
-}
-
 /// Median wall time of a durable 4 KiB write (write, `sync_all`) in
 /// `dir`: the host's fsync cost, which bounds every store write.
 pub fn fsync_calibration(dir: &Path) -> Duration {
