@@ -3,18 +3,22 @@
 //! sharded one (`simulate_sharded_with`, 8 shards on 2 runner threads),
 //! cycling through the six jobs until the time is up.
 //!
-//! * `path-flood`: `GuardedFlood { k: 2 }` on the 10⁶-node path with the
-//!   ids of the committed shard baseline, so the 8-shard counts can be
-//!   checked against it.
+//! * `path-flood`: `GuardedFlood { k: 2 }` on the 2¹⁷-node path, with
+//!   ids made the way the committed shard baseline makes them.
 //! * `caterpillar-e1`: the anti-matching(3) E1 algorithm synthesized by
-//!   `tree_speedup`, on `caterpillar(500000, 1)`.
+//!   `tree_speedup`, on `caterpillar(2^15, 1)`.
 //! * `tree-e1`: the same algorithm on a seeded `random_tree(2^15, 3)`.
 //!
 //! Nearly all time is in the executor loops, and in graph generation
 //! during set-up; a path cuts 7 edges between 8 contiguous shards, a
 //! random tree many, which varies what sharding costs. No service, store
-//! or process code runs. One job of the latency metrics is one full
-//! cycle of the six runs, so every sample does the same work.
+//! or process code runs.
+//!
+//! The instances are sized so that every run is a short job (tens of
+//! ms), so a run holds about a hundred of each kind and the per-kind
+//! medians settle (see `report::end_to_end`). The committed baseline's
+//! 10⁶-node path flood runs once per run after the timed loop, untimed,
+//! for the cross-check of its counts.
 
 use std::time::{Duration, Instant};
 
@@ -30,12 +34,15 @@ use lcl_rng::SmallRng;
 use lcl_shard::simulate_sharded_with;
 
 use crate::report::{
-    end_to_end, median_mb, ms, peak_rss_mb, reset_peak_rss, Metrics, Outcome, Recorder,
+    end_to_end, load_figures, median_mb, ms, peak_rss_mb, reset_peak_rss, Metrics, Outcome,
+    Recorder,
 };
 use crate::Args;
 
-const PATH_NODES: usize = 1_000_000;
-const CATERPILLAR_SPINE: usize = 500_000;
+const PATH_NODES: usize = 1 << 17;
+const CATERPILLAR_SPINE: usize = 1 << 15;
+/// Nodes of the committed shard baseline's path.
+const BASELINE_PATH_NODES: usize = 1_000_000;
 const TREE_NODES: usize = 1 << 15;
 const SHARDS: usize = 8;
 const RUNNER_THREADS: usize = 2;
@@ -77,7 +84,7 @@ fn set_up(seed: u64, rec: &mut Recorder) -> (Vec<Instance>, SpeedupOutcome) {
     let speedup = rec.time("core.tree_speedup", |_| {
         tree_speedup(&anti_matching(3), SpeedupOptions::default())
     });
-    let path_ids = (0..PATH_NODES as u64).map(|i| i ^ 0x5a5a_5a5a).collect();
+    let path_ids = baseline_ids(PATH_NODES);
     let caterpillar_ids = shuffled_ids(caterpillar.node_count(), &mut rng);
     let tree_ids = shuffled_ids(TREE_NODES, &mut rng);
     let instances = vec![
@@ -106,6 +113,11 @@ fn set_up(seed: u64, rec: &mut Recorder) -> (Vec<Instance>, SpeedupOutcome) {
     (instances, speedup)
 }
 
+/// The ids of the committed shard baseline's path flood.
+fn baseline_ids(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|i| i ^ 0x5a5a_5a5a).collect()
+}
+
 type Report = RunReport<lcl_faults::Degraded<SyncRun>>;
 
 /// One instance through both executors; returns the two reports.
@@ -115,7 +127,7 @@ where
     A::State: Send,
     A::Msg: Send,
 {
-    let local = rec.time(&format!("local.run.{}", inst.name), |_| {
+    let local = rec.time_cpu(&format!("local.run.{}", inst.name), |_| {
         simulate_sync_with(
             alg,
             &inst.graph,
@@ -126,7 +138,7 @@ where
             RunOptions::new(),
         )
     });
-    let sharded = rec.time(&format!("shard.run.{}", inst.name), |_| {
+    let sharded = rec.time_cpu(&format!("shard.run.{}", inst.name), |_| {
         simulate_sharded_with(
             alg,
             &inst.graph,
@@ -154,13 +166,10 @@ fn counts(local: &Report, sharded: &Report) -> [u64; 5] {
 
 pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
     let mut rec = Recorder::new("local-sim", args.trace);
-    let mut setup = Vec::new();
     let mut state = None;
     for _ in 0..SETUPS {
         drop(state.take());
-        let t0 = Instant::now();
-        state = Some(rec.time("setup", |rec| set_up(args.seed, rec)));
-        setup.push(t0.elapsed());
+        state = Some(rec.time_cpu("setup", |rec| set_up(args.seed, rec)));
     }
     let (instances, speedup) = state.expect("why: SETUPS > 0");
     let SpeedupOutcome::ConstantRound { .. } = &speedup else {
@@ -214,7 +223,7 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
                     checks_passed = false;
                 }
                 if first {
-                    checks_passed &= first_run_checks(inst, &problem, &local, &sharded, rec);
+                    checks_passed &= first_run_checks(inst, &problem, &local, rec);
                 }
             }
             cycle
@@ -229,10 +238,16 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
         2 * instances.len(),
         job_wall.as_secs_f64()
     );
-    let e2e = end_to_end(
-        &setup,
-        attempted,
-        failed,
+    checks_passed &= rec.time("baseline", baseline_check);
+    // A cycle at the median CPU time of each of its runs.
+    let job_cpu = instances
+        .iter()
+        .flat_map(|inst| ["local.run", "shard.run"].map(|e| format!("cpu.{e}.{}", inst.name)))
+        .map(|call| rec.median(&call))
+        .sum();
+    let e2e = end_to_end(rec.samples("cpu.setup"), attempted, failed, job_cpu);
+    let figures = load_figures(
+        rec.samples("setup"),
         &cycles,
         node_rounds as f64 / job_wall.as_secs_f64(),
     );
@@ -288,6 +303,7 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
             checks_passed,
             end_to_end: e2e,
             per_layer: layers,
+            figures,
             peak_rss_mb: median_mb(peaks),
         },
         rec.finish("local-sim"),
@@ -295,14 +311,12 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
 }
 
 /// Checks made once per instance, on its first pair of runs: E1 outputs
-/// solve anti-matching(3), the flood sends exactly `2|E|` messages per
-/// round, and the 8-shard path flood reproduces the committed shard
-/// baseline's counts.
+/// solve anti-matching(3) and the flood sends exactly `2|E|` messages
+/// per round.
 fn first_run_checks(
     inst: &Instance,
     problem: &lcl::LclProblem,
     local: &Report,
-    sharded: &Report,
     rec: &mut Recorder,
 ) -> bool {
     let out = &local.outcome.outcome;
@@ -320,12 +334,31 @@ fn first_run_checks(
         }
         return true;
     }
-    let edges = inst.graph.edge_count() as u64;
+    flood_messages_ok(&inst.graph, local)
+}
+
+fn flood_messages_ok(graph: &Graph, local: &Report) -> bool {
+    let expected = 2 * graph.edge_count() as u64 * u64::from(local.outcome.outcome.rounds);
     let messages = local.trace.total(Counter::Messages);
-    if messages != 2 * edges * u64::from(out.rounds) {
-        eprintln!("local-sim: flood sent {messages} messages, not 2|E|·rounds");
-        return false;
+    if messages != expected {
+        eprintln!("local-sim: flood sent {messages} messages, not 2|E|·rounds = {expected}");
     }
+    messages == expected
+}
+
+/// The committed shard baseline's scenario, untimed: the 10⁶-node path
+/// flood, unsharded and on 8 shards, must agree bit for bit, send
+/// `2|E|` messages per round and reproduce the baseline's counts.
+fn baseline_check(rec: &mut Recorder) -> bool {
+    let graph = gen::path(BASELINE_PATH_NODES);
+    let inst = Instance {
+        name: "baseline-path-flood",
+        input: uniform_input(&graph),
+        ids: baseline_ids(BASELINE_PATH_NODES),
+        graph,
+        e1: false,
+    };
+    let (local, sharded) = run_pair(&FLOOD, &inst, rec);
     let got = [
         sharded.trace.total(Counter::Messages),
         sharded.trace.total(Counter::Supersteps),
@@ -333,8 +366,13 @@ fn first_run_checks(
         sharded.trace.total(Counter::HaloBytes),
     ];
     if got != SHARD_BASELINE {
-        eprintln!("local-sim: path-flood counts {got:?}, baseline {SHARD_BASELINE:?}");
-        return false;
+        eprintln!("local-sim: baseline path-flood counts {got:?}, committed {SHARD_BASELINE:?}");
     }
-    true
+    let agree = local.outcome.faults.is_empty()
+        && sharded.outcome.faults.is_empty()
+        && sharded.outcome.outcome == local.outcome.outcome;
+    if !agree {
+        eprintln!("local-sim: baseline path-flood sharded output differs from unsharded");
+    }
+    got == SHARD_BASELINE && agree && flood_messages_ok(&inst.graph, &local)
 }

@@ -107,6 +107,7 @@ fn main() -> ExitCode {
         for m in &outcome.end_to_end.0 {
             layers.push(format!("traced.{}", m.name), m.value, m.unit);
         }
+        layers.0.append(&mut outcome.figures.0);
         layers.push("mem.peak_rss_mb", outcome.peak_rss_mb, "MiB");
         layers.count("host.nproc", nproc as u64);
         layers.push("host.fsync_ms", ms(fsync), "ms");
@@ -120,6 +121,13 @@ fn main() -> ExitCode {
         }
         &outcome.per_layer
     } else {
+        let figures: Vec<String> = outcome
+            .figures
+            .0
+            .iter()
+            .map(|m| format!("{}={:.4} {}", m.name, m.value, m.unit))
+            .collect();
+        println!("figures: {}", figures.join(" "));
         &outcome.end_to_end
     };
     let correct = outcome.checks_passed && outcome.failed == 0;

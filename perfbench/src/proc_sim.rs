@@ -1,5 +1,5 @@
 //! `proc-sim`: `run_proc_sharded` of `GuardedFlood { k: 2 }` on the
-//! 10⁶-node path, with jobs alternating between 1 and 2 `shard-worker`
+//! 2¹⁷-node path, with jobs alternating between 1 and 2 `shard-worker`
 //! processes (at most the host's core count).
 //!
 //! Each worker rebuilds the whole graph and receives all n ids as text
@@ -7,8 +7,10 @@
 //! against a ~ms spawn. The tower and store code do not run. Eight
 //! workers would mostly measure the 2-core scheduler, so w8 runs only in
 //! the traced run, for its counts and the cross-check against the
-//! committed process-shard baseline. One job of the latency metrics is
-//! one w1 run plus one w2 run.
+//! committed process-shard baseline (a path's cut counts do not depend
+//! on n). The path is sized so that a job takes a fifth of a second or
+//! less, so a run holds dozens of jobs of each worker count and their
+//! medians settle (see `report::end_to_end`).
 
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -27,11 +29,12 @@ use lcl_service::parse_flat_object;
 use lcl_shard::simulate_sharded_with;
 
 use crate::report::{
-    end_to_end, median_mb, ms, peak_rss_mb, reset_peak_rss, Metrics, Outcome, Recorder,
+    end_to_end, load_figures, median_mb, ms, peak_rss_mb, reset_peak_rss, Metrics, Outcome,
+    Recorder,
 };
 use crate::Args;
 
-const NODES: usize = 1_000_000;
+const NODES: usize = 1 << 17;
 const K: u32 = 2;
 const MAX_ROUNDS: u32 = 8;
 /// Set-ups timed for `setup_s`; the last one serves the run.
@@ -115,17 +118,14 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
     let mut rec = Recorder::new("proc-sim", args.trace);
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let alternating = [1, nproc.min(2)];
-    // Ids in [2^31, 2^32) all print with 10 digits, so the init line is
-    // 11,000,179 bytes for every seed, as with the committed baseline's ids.
+    // Ids in [2^31, 2^32) all print with 10 digits, so the init line has
+    // the same length for every seed.
     let mask = SmallRng::seed_from_u64(args.seed).next_u64() as u32 | 1 << 31;
     let ids: Vec<u64> = (0..NODES as u64).map(|i| i ^ u64::from(mask)).collect();
-    let mut setup = Vec::new();
     let mut reference = None;
     for _ in 0..SETUPS {
         drop(reference.take());
-        let t0 = Instant::now();
-        reference = Some(rec.time("setup", |rec| set_up(&ids, rec)));
-        setup.push(t0.elapsed());
+        reference = Some(rec.time_cpu("setup", |rec| set_up(&ids, rec)));
     }
     let reference = reference.expect("why: SETUPS > 0");
     let job = flood_job(&ids);
@@ -143,7 +143,7 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
         for w in alternating {
             attempted += 1;
             let t0 = Instant::now();
-            let run = rec.time(&format!("procshard.run.w{w}"), |_| {
+            let run = rec.time_cpu(&format!("procshard.run.w{w}"), |_| {
                 run_proc_sharded(&job, RunOptions::new().sharded(w), &ProcOptions::default())
             });
             cycle += t0.elapsed();
@@ -171,10 +171,15 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
         alternating,
         job_wall.as_secs_f64()
     );
-    let e2e = end_to_end(
-        &setup,
-        attempted,
-        failed,
+    // A w1 run plus a w2 run, each at its median CPU time (supervisor
+    // and workers).
+    let job_cpu = alternating
+        .iter()
+        .map(|w| rec.median(&format!("cpu.procshard.run.w{w}")))
+        .sum();
+    let e2e = end_to_end(rec.samples("cpu.setup"), attempted, failed, job_cpu);
+    let figures = load_figures(
+        rec.samples("setup"),
         &cycles,
         node_rounds as f64 / job_wall.as_secs_f64(),
     );
@@ -189,6 +194,7 @@ pub fn run(args: &Args) -> Result<(Outcome, Trace), String> {
             checks_passed,
             end_to_end: e2e,
             per_layer: layers,
+            figures,
             peak_rss_mb: median_mb(peaks),
         },
         rec.finish("proc-sim"),
