@@ -115,17 +115,13 @@ impl Graph {
 /// the larger one.
 pub fn path(n: usize) -> Graph {
     assert!(n >= 1, "path needs at least one node");
-    let mut adj = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)] // index drives several arrays
-    for v in 0..n {
-        if v > 0 {
-            adj[v].push(v - 1);
-        }
-        if v + 1 < n {
-            adj[v].push(v + 1);
-        }
+    // Adding `{v - 1, v}` in order gives every node port 0 toward its
+    // smaller neighbor (the edge it sees first) and edge id `v - 1`.
+    let mut b = GraphBuilder::new(n).assume_simple();
+    for v in 1..n {
+        b.add_edge(v - 1, v).expect("path edges are valid");
     }
-    Graph::from_adjacency(&adj).expect("path adjacency is valid")
+    b.build().expect("path is a valid graph")
 }
 
 /// A cycle on `n ≥ 3` nodes; port 0 points to the predecessor
@@ -212,9 +208,64 @@ pub fn spider(legs: usize, leg_len: usize) -> Graph {
     b.build().expect("spider is a valid graph")
 }
 
+/// The earlier nodes that still have spare degree capacity, as 0/1
+/// flags in a Fenwick tree: [`OpenSlots::select`] finds the `r`-th open
+/// slot in index order in `O(log n)`, the element a linear scan of the
+/// open slots would list at position `r`.
+struct OpenSlots {
+    /// 1-based Fenwick array of flag counts.
+    tree: Vec<u32>,
+    /// The largest power of two `<= tree.len() - 1` (0 when empty).
+    top: usize,
+}
+
+impl OpenSlots {
+    fn new(slots: usize) -> Self {
+        Self {
+            tree: vec![0; slots + 1],
+            top: if slots == 0 { 0 } else { 1 << slots.ilog2() },
+        }
+    }
+
+    fn update(&mut self, slot: usize, open: bool) {
+        let mut i = slot + 1;
+        while i < self.tree.len() {
+            if open {
+                self.tree[i] += 1;
+            } else {
+                self.tree[i] -= 1;
+            }
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Open slots among `0..slot`.
+    fn count_below(&self, slot: usize) -> usize {
+        let (mut i, mut sum) = (slot, 0);
+        while i > 0 {
+            sum += self.tree[i] as usize;
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The open slot with exactly `r` open slots before it.
+    fn select(&self, r: usize) -> usize {
+        let (mut pos, mut rest, mut step) = (0, r as u32, self.top);
+        while step > 0 {
+            if pos + step < self.tree.len() && self.tree[pos + step] <= rest {
+                pos += step;
+                rest -= self.tree[pos];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
 /// A uniformly random-ish tree on `n` nodes with maximum degree
 /// `max_degree`: node `i` attaches to a random earlier node with remaining
-/// capacity. Deterministic given `seed`.
+/// capacity. Deterministic given `seed`; `O(n log n)`.
 ///
 /// # Panics
 ///
@@ -224,44 +275,63 @@ pub fn random_tree(n: usize, max_degree: u8, seed: u64) -> Graph {
     if n > 2 {
         assert!(max_degree >= 2, "trees on >2 nodes need max degree >= 2");
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
-    let mut degree = vec![0u32; n];
-    for v in 1..n {
-        // Sample an earlier node with remaining capacity.
-        let candidates: Vec<usize> = (0..v)
-            .filter(|&u| degree[u] < u32::from(max_degree))
-            .collect();
-        assert!(
-            !candidates.is_empty(),
-            "degree bound too small to grow the tree"
-        );
-        let u = candidates[rng.gen_range(0..candidates.len())];
-        b.add_edge(u, v).expect("tree edges are valid");
-        degree[u] += 1;
-        degree[v] += 1;
-    }
-    b.build().expect("random tree respects the degree bound")
+    random_forest_by(n, 1, max_degree, seed)
 }
 
 /// A random forest on `n` nodes with (at least) `components` trees.
-/// Deterministic given `seed`.
+/// Deterministic given `seed`; `O(n log n)`.
 pub fn random_forest(n: usize, components: usize, max_degree: u8, seed: u64) -> Graph {
     assert!(components >= 1 && components <= n);
+    random_forest_by(n, components, max_degree, seed)
+}
+
+/// Nodes `0..components` are roots of separate trees; each later node
+/// `v` attaches to a uniformly drawn earlier node of its stripe
+/// (`u ≡ v mod components`) with remaining capacity, the `r`-th such
+/// node in index order for one `gen_range` draw `r`.
+///
+/// Each stripe occupies a contiguous block of slots (stripe-major, in
+/// node order within a stripe), so one Fenwick tree serves them all.
+fn random_forest_by(n: usize, components: usize, max_degree: u8, seed: u64) -> Graph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
+    let cap = u32::from(max_degree);
     let mut degree = vec![0u32; n];
-    // Nodes 0..components are roots of separate trees; each later node
-    // attaches within the tree of a random earlier node of the same stripe.
+    // Stripe `s` holds the `(n - s).div_ceil(c)` nodes `s, s + c, ..`
+    // below `n`.
+    let mut stripe_start = Vec::with_capacity(components);
+    let mut next = 0;
+    for s in 0..components {
+        stripe_start.push(next);
+        next += (n - s).div_ceil(components);
+    }
+    let slot = |u: usize| stripe_start[u % components] + u / components;
+    let mut open = OpenSlots::new(n);
+    // Each root opens its stripe (unless no node may have an edge).
+    let mut open_in_stripe = vec![usize::from(cap > 0); components];
+    if cap > 0 {
+        for &root_slot in &stripe_start {
+            open.update(root_slot, true);
+        }
+    }
     for v in components..n {
-        let candidates: Vec<usize> = (0..v)
-            .filter(|&u| u % components == v % components && degree[u] < u32::from(max_degree))
-            .collect();
-        assert!(!candidates.is_empty(), "degree bound too small");
-        let u = candidates[rng.gen_range(0..candidates.len())];
+        let stripe = v % components;
+        assert!(open_in_stripe[stripe] > 0, "degree bound too small");
+        let r = rng.gen_range(0..open_in_stripe[stripe]);
+        let start = stripe_start[stripe];
+        let pick = open.select(open.count_below(start) + r);
+        let u = (pick - start) * components + stripe;
         b.add_edge(u, v).expect("forest edges are valid");
         degree[u] += 1;
         degree[v] += 1;
+        if degree[u] == cap {
+            open.update(pick, false);
+            open_in_stripe[stripe] -= 1;
+        }
+        if degree[v] < cap {
+            open.update(slot(v), true);
+            open_in_stripe[stripe] += 1;
+        }
     }
     b.build().expect("random forest respects the degree bound")
 }
@@ -512,6 +582,81 @@ mod tests {
     #[test]
     fn random_tree_is_deterministic() {
         assert_eq!(random_tree(50, 3, 7), random_tree(50, 3, 7));
+    }
+
+    /// The quadratic generators `random_tree` and `random_forest` used
+    /// before the Fenwick selection: the reference they must reproduce
+    /// bit for bit.
+    fn random_forest_scan(n: usize, components: usize, max_degree: u8, seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
+        let mut degree = vec![0u32; n];
+        for v in components..n {
+            let candidates: Vec<usize> = (0..v)
+                .filter(|&u| u % components == v % components && degree[u] < u32::from(max_degree))
+                .collect();
+            assert!(!candidates.is_empty(), "degree bound too small");
+            let u = candidates[rng.gen_range(0..candidates.len())];
+            b.add_edge(u, v).expect("forest edges are valid");
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        b.build().expect("random forest respects the degree bound")
+    }
+
+    #[test]
+    fn fenwick_random_trees_match_the_quadratic_scan() {
+        for max_degree in [2u8, 3, 4] {
+            for seed in 0..4 {
+                for n in [1, 2, 3, 17, 300, 2000] {
+                    assert_eq!(
+                        random_tree(n, max_degree, seed),
+                        random_forest_scan(n, 1, max_degree, seed),
+                        "n={n} max_degree={max_degree} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fenwick_random_forests_match_the_quadratic_scan() {
+        for max_degree in [2u8, 3, 4] {
+            for seed in 0..4 {
+                for (n, components) in [(1, 1), (7, 7), (60, 5), (36, 12), (2000, 3), (1999, 7)] {
+                    assert_eq!(
+                        random_forest(n, components, max_degree, seed),
+                        random_forest_scan(n, components, max_degree, seed),
+                        "n={n} components={components} max_degree={max_degree} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_trees_too_tight_to_grow_still_panic() {
+        assert!(std::panic::catch_unwind(|| random_tree(2, 0, 1)).is_err());
+        assert_eq!(random_tree(2, 1, 1), random_forest_scan(2, 1, 1, 1));
+    }
+
+    #[test]
+    fn path_matches_its_adjacency_lists() {
+        for n in [1, 2, 3, 10, 1000] {
+            let adj: Vec<Vec<usize>> = (0..n)
+                .map(|v| {
+                    let mut ports = Vec::new();
+                    if v > 0 {
+                        ports.push(v - 1);
+                    }
+                    if v + 1 < n {
+                        ports.push(v + 1);
+                    }
+                    ports
+                })
+                .collect();
+            assert_eq!(path(n), Graph::from_adjacency(&adj).unwrap(), "n={n}");
+        }
     }
 
     #[test]

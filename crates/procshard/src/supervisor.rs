@@ -57,7 +57,7 @@ use lcl_shard::ShardSnapshot;
 use crate::spec::ProcJob;
 use crate::wire::{
     decode_events, decode_faults, decode_labels, encode_flags, open_line, push_num_field,
-    push_text_field, want_bool, want_num, want_str, write_line, InitCmd,
+    push_text_field, want_bool, want_num, want_str, want_text, write_line, InitCmd,
 };
 
 /// Supervisor knobs that live outside [`RunOptions`]: where the worker
@@ -584,22 +584,12 @@ pub fn run_proc_sharded(
     let kill_at: Vec<Vec<u32>> = (0..m).map(|s| plan.shard_kills(s)).collect();
 
     let mut fleet = Fleet::new(&map, &opts, proc)?;
-    for s in 0..m {
+    for (s, cmd) in init_commands(job, &ids, &map, n, &plan_text, proc)
+        .iter()
+        .enumerate()
+    {
         let conn = fleet.spawn_worker(s)?;
         fleet.seats[s].conn = Some(conn);
-        let cmd = InitCmd {
-            graph: job.graph.clone(),
-            alg: job.alg.clone(),
-            input: job.input.clone(),
-            ids: ids.clone(),
-            n,
-            shards: m,
-            shard: s,
-            plan_text: plan_text.clone(),
-            hang_at: proc
-                .hang_at
-                .and_then(|(hung, at)| (hung == s).then_some(at)),
-        };
         fleet.send(s, cmd.encode());
     }
 
@@ -698,7 +688,7 @@ pub fn run_proc_sharded(
             let reply = fleet.collect(s, rounds)?;
             expect_op(&reply, "computed", s)?;
             round_messages += want_num(&reply, "round_messages").map_err(proto(s))?;
-            let halos = want_str(&reply, "halos").map_err(proto(s))?;
+            let halos = want_text(&reply, "halos").map_err(proto(s))?;
             if !halos.is_empty() {
                 for chunk in halos.split('|') {
                     let (dst, entries) = chunk.split_once('>').ok_or_else(|| {
@@ -789,7 +779,7 @@ pub fn run_proc_sharded(
         let reply = fleet.collect(s, rounds)?;
         expect_op(&reply, "outputs", s)?;
         let labels =
-            decode_labels(&want_str(&reply, "labels").map_err(proto(s))?).map_err(proto(s))?;
+            decode_labels(want_text(&reply, "labels").map_err(proto(s))?).map_err(proto(s))?;
         if labels.len() != map.range(s).len() {
             return Err(proto(s)(format!(
                 "worker labeled {} of {} owned nodes",
@@ -872,6 +862,34 @@ pub fn run_proc_sharded(
     Ok(RunReport::new(degraded, Trace::new(span.finish())))
 }
 
+/// Every shard's `init` command. Shard `s` receives the ids of exactly
+/// the nodes it owns (`ids[map.range(s)]`), so the ids shipped across
+/// the fleet, and kept in its replay histories, total `n`.
+fn init_commands(
+    job: &ProcJob,
+    ids: &[u64],
+    map: &ShardMap,
+    n: usize,
+    plan_text: &str,
+    proc: &ProcOptions,
+) -> Vec<InitCmd> {
+    (0..map.num_shards())
+        .map(|s| InitCmd {
+            graph: job.graph.clone(),
+            alg: job.alg.clone(),
+            input: job.input.clone(),
+            ids: ids[map.range(s)].to_vec(),
+            n,
+            shards: map.num_shards(),
+            shard: s,
+            plan_text: plan_text.to_string(),
+            hang_at: proc
+                .hang_at
+                .and_then(|(hung, at)| (hung == s).then_some(at)),
+        })
+        .collect()
+}
+
 /// Asserts a reply's `op`.
 fn expect_op(fields: &[(String, Scalar)], want: &str, shard: usize) -> Result<(), ProcError> {
     let got = want_str(fields, "op").map_err(proto(shard))?;
@@ -882,4 +900,59 @@ fn expect_op(fields: &[(String, Scalar)], want: &str, shard: usize) -> Result<()
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{AlgSpec, GraphSpec, InputSpec};
+    use crate::wire::want_text;
+
+    /// Init carries only owned ids: on a 1000-node path the workers
+    /// together receive exactly n ids, each its own range's, and the
+    /// encoded lines shrink with the shard count instead of growing.
+    #[test]
+    fn init_carries_only_owned_ids() {
+        let n = 1000;
+        let ids: Vec<u64> = (0..n as u64).map(|i| i * 7919 + 3).collect();
+        let job = ProcJob {
+            graph: GraphSpec::Path { n },
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: InputSpec::Uniform,
+            ids: ids.clone(),
+            n_announced: None,
+            max_rounds: 8,
+        };
+        let one_line = |w: usize| -> usize {
+            let map = ShardMap::new(n, w);
+            init_commands(&job, &ids, &map, n, "", &ProcOptions::default())
+                .iter()
+                .map(|cmd| cmd.encode().len())
+                .max()
+                .unwrap_or(0)
+        };
+        for w in [1, 2, 8] {
+            let map = ShardMap::new(n, w);
+            let cmds = init_commands(&job, &ids, &map, n, "", &ProcOptions::default());
+            assert_eq!(cmds.len(), w);
+            let mut shipped = Vec::new();
+            for (s, cmd) in cmds.iter().enumerate() {
+                assert_eq!(cmd.ids.len(), map.range(s).len());
+                let fields = parse_flat_object(&cmd.encode()).unwrap();
+                let parsed = InitCmd::parse(&fields).unwrap();
+                assert_eq!(&parsed, cmd);
+                let text = want_text(&fields, "ids").unwrap();
+                assert_eq!(text.split(',').count(), map.range(s).len());
+                shipped.extend(parsed.ids);
+            }
+            assert_eq!(
+                shipped, ids,
+                "w{w}: the shards' ids concatenate to the run's"
+            );
+        }
+        assert!(
+            one_line(8) * 4 < one_line(1),
+            "an 8-way line is an eighth of the ids"
+        );
+    }
 }

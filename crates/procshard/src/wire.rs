@@ -63,7 +63,7 @@ pub fn push_num_field(out: &mut String, name: &str, value: u64) {
     out.push_str(",\"");
     out.push_str(name);
     out.push_str("\":");
-    out.push_str(&value.to_string());
+    push_decimal(out, value);
 }
 
 /// Appends `,"name":"value"` with escaping.
@@ -90,12 +90,40 @@ pub fn open_line(op: &str) -> String {
 
 /// Looks up a required string field.
 pub fn want_str(fields: &[(String, Scalar)], name: &'static str) -> Result<String, String> {
-    lcl_service::protocol::get_str(fields, name).map_err(|e| e.to_string())
+    want_text(fields, name).map(str::to_owned)
+}
+
+/// Looks up a required string field without copying it (for the large
+/// payloads: ids, labels, halos).
+pub(crate) fn want_text<'a>(
+    fields: &'a [(String, Scalar)],
+    name: &'static str,
+) -> Result<&'a str, String> {
+    lcl_service::protocol::get_text(fields, name).map_err(|e| e.to_string())
 }
 
 /// Looks up a required number field.
 pub fn want_num(fields: &[(String, Scalar)], name: &'static str) -> Result<u64, String> {
     lcl_service::protocol::get_num(fields, name).map_err(|e| e.to_string())
+}
+
+/// Narrows a wire number to the type it names, as a typed error rather
+/// than a silent `as` truncation.
+pub(crate) fn narrow<T: TryFrom<u64>>(name: &str, value: u64) -> Result<T, String> {
+    T::try_from(value).map_err(|_| {
+        format!(
+            "field {name} = {value} is out of range for {}",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
+/// Looks up a required number field that must fit `T`.
+pub(crate) fn want_int<T: TryFrom<u64>>(
+    fields: &[(String, Scalar)],
+    name: &'static str,
+) -> Result<T, String> {
+    narrow(name, want_num(fields, name)?)
 }
 
 /// Looks up a required bool field.
@@ -405,43 +433,118 @@ pub fn decode_events(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
+/// Digits in the decimal spelling of `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the decimal spelling of `v` without allocating.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("why: ASCII digits are UTF-8"));
+}
+
+/// Parses one decimal token exactly as [`push_decimal`] spells it: one
+/// or more ASCII digits, no sign, no leading zero, at most `max`.
+fn parse_decimal(token: &str, max: u64) -> Option<u64> {
+    let digits = token.as_bytes();
+    if digits.is_empty()
+        || (digits.len() > 1 && digits[0] == b'0')
+        || !digits.iter().all(u8::is_ascii_digit)
+    {
+        return None;
+    }
+    let digit = |b: &u8| u64::from(b - b'0');
+    // Nineteen digits cannot overflow a u64; only longer tokens pay for
+    // the checked arithmetic.
+    let v = if digits.len() < 20 {
+        digits.iter().fold(0, |v, b| v * 10 + digit(b))
+    } else {
+        digits
+            .iter()
+            .try_fold(0u64, |v, b| v.checked_mul(10)?.checked_add(digit(b)))?
+    };
+    (v <= max).then_some(v)
+}
+
+/// Appends `values` as decimals joined by `,`.
+fn push_decimals(out: &mut String, values: impl IntoIterator<Item = u64>) {
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_decimal(out, v);
+    }
+}
+
 /// Encodes per-node output labels: nodes separated by `;`, port labels
-/// by `,`.
+/// by `,`, written into one exactly pre-sized string.
 pub fn encode_labels(outputs: &[Vec<lcl::OutLabel>]) -> String {
-    let mut out = String::new();
+    let len = outputs.len().saturating_sub(1)
+        + outputs
+            .iter()
+            .map(|node| {
+                node.len().saturating_sub(1)
+                    + node
+                        .iter()
+                        .map(|l| decimal_len(u64::from(l.0)))
+                        .sum::<usize>()
+            })
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
     for (i, node) in outputs.iter().enumerate() {
         if i > 0 {
             out.push(';');
         }
-        for (j, label) in node.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&label.0.to_string());
-        }
+        push_decimals(&mut out, node.iter().map(|l| u64::from(l.0)));
     }
     out
 }
 
 /// Decodes per-node output labels; the inverse of [`encode_labels`].
+/// Accepts exactly what the encoder emits: a label that is empty,
+/// signed, non-decimal, zero-padded or above `u32::MAX` is an error.
 pub fn decode_labels(text: &str) -> Result<Vec<Vec<lcl::OutLabel>>, String> {
     if text.is_empty() {
         return Ok(Vec::new());
     }
-    text.split(';')
-        .map(|node| {
-            if node.is_empty() {
-                return Ok(Vec::new());
+    let mut nodes = Vec::with_capacity(text.bytes().filter(|&b| b == b';').count() + 1);
+    for node in text.split(';') {
+        let mut labels = Vec::new();
+        if !node.is_empty() {
+            for l in node.split(',') {
+                let v = parse_decimal(l, u64::from(u32::MAX))
+                    .ok_or_else(|| format!("label {l:?} is not a u32"))?;
+                labels.push(lcl::OutLabel(v as u32));
             }
-            node.split(',')
-                .map(|l| {
-                    l.parse()
-                        .map(lcl::OutLabel)
-                        .map_err(|_| format!("label {l:?} is not a u32"))
-                })
-                .collect()
-        })
-        .collect()
+        }
+        nodes.push(labels);
+    }
+    Ok(nodes)
+}
+
+/// Decodes a `,`-joined id list, the `ids` field of [`InitCmd::encode`],
+/// with the same token rules as [`decode_labels`].
+fn decode_ids(text: &str) -> Result<Vec<u64>, String> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut ids = Vec::with_capacity(text.bytes().filter(|&b| b == b',').count() + 1);
+    for token in text.split(',') {
+        ids.push(
+            parse_decimal(token, u64::MAX).ok_or_else(|| format!("id {token:?} is not a u64"))?,
+        );
+    }
+    Ok(ids)
 }
 
 /// The decoded `init` command: everything a worker needs to
@@ -454,7 +557,10 @@ pub struct InitCmd {
     pub alg: AlgSpec,
     /// The input labeling construction.
     pub input: InputSpec,
-    /// Resolved per-node ids (any plan permutation already applied).
+    /// The resolved ids of the nodes this worker's shard owns, in node
+    /// order: `ids[k]` belongs to the `k`-th node of the shard's range
+    /// (any plan permutation already applied). A worker never learns
+    /// the other shards' ids, so the ids sent across a run total `n`.
     pub ids: Vec<u64>,
     /// The announced `n`.
     pub n: usize,
@@ -473,6 +579,8 @@ impl InitCmd {
     /// Renders the `init` command line.
     pub fn encode(&self) -> String {
         let mut out = open_line("init");
+        let id_digits: usize = self.ids.iter().map(|&id| decimal_len(id) + 1).sum();
+        out.reserve(256 + 2 * self.plan_text.len() + id_digits);
         let (g, g1, g2, g3) = match self.graph {
             GraphSpec::Path { n } => ("path", n as u64, 0, 0),
             GraphSpec::RandomTree {
@@ -495,8 +603,10 @@ impl InitCmd {
         push_num_field(&mut out, "alg_k", k);
         let InputSpec::Uniform = self.input;
         push_text_field(&mut out, "input", "uniform");
-        let ids: Vec<String> = self.ids.iter().map(u64::to_string).collect();
-        push_text_field(&mut out, "ids", &ids.join(","));
+        // Digits and commas need no escaping, so the ids go straight in.
+        out.push_str(",\"ids\":\"");
+        push_decimals(&mut out, self.ids.iter().copied());
+        out.push('"');
         push_num_field(&mut out, "n", self.n as u64);
         push_num_field(&mut out, "shards", self.shards as u64);
         push_num_field(&mut out, "shard", self.shard as u64);
@@ -514,53 +624,50 @@ impl InitCmd {
         let g1 = want_num(fields, "g1")?;
         let g2 = want_num(fields, "g2")?;
         let g3 = want_num(fields, "g3")?;
-        let graph = match want_str(fields, "graph")?.as_str() {
-            "path" => GraphSpec::Path { n: g1 as usize },
+        let graph = match want_text(fields, "graph")? {
+            "path" => GraphSpec::Path {
+                n: narrow("g1", g1)?,
+            },
             "tree" => GraphSpec::RandomTree {
-                n: g1 as usize,
+                n: narrow("g1", g1)?,
                 max_degree: u8::try_from(g2).map_err(|_| "tree degree overflows u8".to_string())?,
                 seed: g3,
             },
             "caterpillar" => GraphSpec::Caterpillar {
-                spine: g1 as usize,
-                legs: g2 as usize,
+                spine: narrow("g1", g1)?,
+                legs: narrow("g2", g2)?,
             },
             "star" => GraphSpec::Star {
-                leaves: g1 as usize,
+                leaves: narrow("g1", g1)?,
             },
             other => return Err(format!("unknown graph spec {other:?}")),
         };
         let k = want_num(fields, "alg_k")?;
-        let alg = match want_str(fields, "alg")?.as_str() {
-            "flood" => AlgSpec::GuardedFlood { k: k as u32 },
+        let alg = match want_text(fields, "alg")? {
+            "flood" => AlgSpec::GuardedFlood {
+                k: narrow("alg_k", k)?,
+            },
             "am-e1" => AlgSpec::AntiMatchingE1 {
                 delta: u8::try_from(k).map_err(|_| "delta overflows u8".to_string())?,
             },
             other => return Err(format!("unknown alg spec {other:?}")),
         };
-        let input = match want_str(fields, "input")?.as_str() {
+        let input = match want_text(fields, "input")? {
             "uniform" => InputSpec::Uniform,
             other => return Err(format!("unknown input spec {other:?}")),
-        };
-        let ids_text = want_str(fields, "ids")?;
-        let ids = if ids_text.is_empty() {
-            Vec::new()
-        } else {
-            ids_text
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("id {x:?} is not a u64")))
-                .collect::<Result<Vec<u64>, String>>()?
         };
         Ok(Self {
             graph,
             alg,
             input,
-            ids,
-            n: want_num(fields, "n")? as usize,
-            shards: want_num(fields, "shards")? as usize,
-            shard: want_num(fields, "shard")? as usize,
+            ids: decode_ids(want_text(fields, "ids")?)?,
+            n: want_int(fields, "n")?,
+            shards: want_int(fields, "shards")?,
+            shard: want_int(fields, "shard")?,
             plan_text: want_str(fields, "plan")?,
-            hang_at: maybe_num(fields, "hang_at").map(|h| h as u32),
+            hang_at: maybe_num(fields, "hang_at")
+                .map(|h| narrow("hang_at", h))
+                .transpose()?,
         })
     }
 }
@@ -689,5 +796,136 @@ mod tests {
         assert_eq!(text, "0110");
         assert_eq!(decode_flags(&text).unwrap(), flags);
         assert!(decode_flags("01x").is_err());
+    }
+
+    /// Seeded ids spanning every decimal length, with the extremes.
+    fn seeded_ids(seed: u64, count: usize) -> Vec<u64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut ids: Vec<u64> = (0..count)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state >> (state % 64)
+            })
+            .collect();
+        ids.extend([0, 1, 9, 10, u64::from(u32::MAX), u64::MAX - 1, u64::MAX]);
+        ids
+    }
+
+    fn flood_init(ids: Vec<u64>) -> InitCmd {
+        InitCmd {
+            graph: GraphSpec::Path { n: ids.len() },
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: InputSpec::Uniform,
+            n: ids.len(),
+            ids,
+            shards: 1,
+            shard: 0,
+            plan_text: String::new(),
+            hang_at: None,
+        }
+    }
+
+    #[test]
+    fn id_codec_matches_the_joined_decimal_reference() {
+        for seed in 1..=4 {
+            for ids in [seeded_ids(seed, 300), vec![], vec![0], vec![u64::MAX]] {
+                let cmd = flood_init(ids.clone());
+                let fields = parse_flat_object(&cmd.encode()).unwrap();
+                let reference: Vec<String> = ids.iter().map(u64::to_string).collect();
+                assert_eq!(want_text(&fields, "ids").unwrap(), reference.join(","));
+                assert_eq!(InitCmd::parse(&fields).unwrap(), cmd);
+            }
+        }
+    }
+
+    #[test]
+    fn label_codec_matches_the_joined_decimal_reference() {
+        for seed in 1..=4 {
+            let pool = seeded_ids(seed, 200);
+            let mut labels: Vec<Vec<lcl::OutLabel>> = Vec::new();
+            for (i, chunk) in pool.chunks(3).enumerate() {
+                // Every fourth node has degree 0.
+                let degree = if i % 4 == 0 { 0 } else { chunk.len() };
+                labels.push(
+                    chunk[..degree]
+                        .iter()
+                        .map(|&x| lcl::OutLabel(x as u32))
+                        .collect(),
+                );
+            }
+            labels.push(vec![lcl::OutLabel(u32::MAX), lcl::OutLabel(0)]);
+            let reference: Vec<String> = labels
+                .iter()
+                .map(|node| {
+                    let node: Vec<String> = node.iter().map(|l| l.0.to_string()).collect();
+                    node.join(",")
+                })
+                .collect();
+            let text = encode_labels(&labels);
+            assert_eq!(text, reference.join(";"));
+            assert_eq!(text.capacity(), text.len(), "pre-sized exactly");
+            assert_eq!(decode_labels(&text).unwrap(), labels);
+        }
+        assert_eq!(encode_labels(&[]), "");
+        assert_eq!(decode_labels("").unwrap(), Vec::<Vec<lcl::OutLabel>>::new());
+        assert_eq!(decode_labels(";").unwrap(), vec![vec![], vec![]]);
+    }
+
+    #[test]
+    fn malformed_decimal_tokens_are_rejected_with_typed_errors() {
+        for bad in [
+            ",",
+            "1,",
+            ",1",
+            "1,,2",
+            "+1",
+            "-1",
+            "1a",
+            " 1",
+            "1 ",
+            "01",
+            "00",
+            "0x1",
+            "18446744073709551616",
+            "99999999999999999999",
+            "184467440737095516150",
+            "１",
+        ] {
+            let err = decode_ids(bad).expect_err(bad);
+            assert!(
+                err.starts_with("id \"") && err.ends_with("\" is not a u64"),
+                "{err}"
+            );
+        }
+        for bad in ["1,", "1;+2", "-0", "4294967296", "1;01", "1,,2", "x"] {
+            let err = decode_labels(bad).expect_err(bad);
+            assert!(
+                err.starts_with("label \"") && err.ends_with("\" is not a u32"),
+                "{err}"
+            );
+        }
+        // What std's parser would let through must not pass here.
+        assert!(decode_ids("+5").is_err());
+        assert_eq!(
+            decode_ids("0,18446744073709551615").unwrap(),
+            vec![0, u64::MAX]
+        );
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_not_truncated() {
+        let cmd = flood_init(vec![5, 6]);
+        let line = cmd.encode();
+        assert!(line.contains("\"alg_k\":2,"));
+        // k = 2^32 + 2 would have run as k = 2 under an `as u32`.
+        let wrapped = line.replace("\"alg_k\":2,", "\"alg_k\":4294967298,");
+        let err = InitCmd::parse(&parse_flat_object(&wrapped).unwrap()).unwrap_err();
+        assert_eq!(err, "field alg_k = 4294967298 is out of range for u32");
+        let hang = line.replace('}', ",\"hang_at\":4294967296}");
+        let err = InitCmd::parse(&parse_flat_object(&hang).unwrap()).unwrap_err();
+        assert_eq!(err, "field hang_at = 4294967296 is out of range for u32");
+        assert_eq!(narrow::<u32>("round", u64::from(u32::MAX)), Ok(u32::MAX));
     }
 }

@@ -37,7 +37,7 @@ use crate::spec::{AlgSpec, GuardedFlood};
 use crate::wire::{
     self, decode_batches, decode_flags, encode_batches, encode_events, encode_faults,
     encode_labels, open_line, push_bool_field, push_num_field, push_text_field, read_fields,
-    want_num, want_str, write_line, InitCmd, WireMsg,
+    want_int, want_str, want_text, write_line, InitCmd, WireMsg,
 };
 
 /// Records a fault into a phase buffer and mirrors it into the worker's
@@ -115,41 +115,47 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
 
     /// Builds the worker's runner: carves the shard's fault domain out
     /// of the shipped plan (kills filtered — see [`ShardDomain::carve`])
-    /// and recomputes halo routes by the same scan as the coordinator.
-    fn new(cmd: &InitCmd, graph: &Graph, plan: &FaultPlan) -> Self {
-        let map = ShardMap::new(graph.node_count(), cmd.shards);
-        let me = cmd.shard;
-        let mut out_routes: BTreeMap<usize, Vec<(u32, u8)>> = BTreeMap::new();
+    /// and recomputes the halo routes the coordinator's scan yields,
+    /// visiting only the shard's own half-edges.
+    fn new(me: usize, map: &ShardMap, graph: &Graph, plan: &FaultPlan) -> Self {
+        let range = map.range(me);
+        // Destination shard → (receiver node, receiver port, source
+        // node, source port); sorting on the receiver's half-edge puts
+        // each route in the receiver's scan order.
+        let mut outgoing: BTreeMap<usize, Vec<(u32, u8, u32, u8)>> = BTreeMap::new();
         let mut halo_pos: HashMap<(u32, u8), (usize, u32)> = HashMap::new();
         let mut in_counts: HashMap<usize, u32> = HashMap::new();
-        for s in 0..map.num_shards() {
-            for i in map.range(s) {
-                let v = NodeId(i as u32);
-                for h in graph.half_edges_of(v) {
-                    let twin = graph.twin(h);
-                    let u = graph.node_of(twin);
-                    let d = map.shard_of(u);
-                    if d == s {
-                        continue;
-                    }
-                    let q = graph.port_of(twin);
-                    if d == me {
-                        out_routes.entry(s).or_default().push((u.0, q));
-                    }
-                    if s == me {
-                        let idx = in_counts.entry(d).or_insert(0);
-                        halo_pos.insert((u.0, q), (d, *idx));
-                        *idx += 1;
-                    }
+        for i in range.clone() {
+            let v = NodeId(i as u32);
+            for h in graph.half_edges_of(v) {
+                let twin = graph.twin(h);
+                let u = graph.node_of(twin);
+                let d = map.shard_of(u);
+                if d == me {
+                    continue;
                 }
+                let q = graph.port_of(twin);
+                outgoing
+                    .entry(d)
+                    .or_default()
+                    .push((u.0, q, v.0, graph.port_of(h)));
+                let idx = in_counts.entry(d).or_insert(0);
+                halo_pos.insert((u.0, q), (d, *idx));
+                *idx += 1;
             }
         }
-        let range = map.range(me);
+        let out_routes = outgoing
+            .into_iter()
+            .map(|(d, mut route)| {
+                route.sort_unstable();
+                (d, route.into_iter().map(|(_, _, v, p)| (v, p)).collect())
+            })
+            .collect();
         Self {
             // The worker's budget axis is the supervisor's concern
             // (deadlines and `max_rounds` are enforced from outside),
             // so the carved domain is unlimited here.
-            domain: ShardDomain::carve(me, &map, plan, &Budget::unlimited()),
+            domain: ShardDomain::carve(me, map, plan, &Budget::unlimited()),
             stage: format!("shard/{me}"),
             start: range.start,
             len: range.len(),
@@ -180,7 +186,8 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
         }
     }
 
-    /// Initializes the shard's nodes (panic-isolated per node).
+    /// Initializes the shard's nodes (panic-isolated per node); `ids`
+    /// holds the owned nodes' ids by local offset.
     fn init_nodes(
         &mut self,
         alg: &A,
@@ -191,13 +198,13 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
     ) {
         self.states = Vec::with_capacity(self.len);
         self.died = Vec::with_capacity(self.len);
-        for local in 0..self.len {
+        for (local, &id) in ids.iter().enumerate() {
             let i = self.start + local;
             let v = NodeId(i as u32);
             let init = NodeInit {
                 node: v,
                 n,
-                id: ids[i],
+                id,
                 degree: graph.degree(v),
                 inputs: graph.half_edges_of(v).map(|h| input.get(h)).collect(),
             };
@@ -620,16 +627,26 @@ where
     A::Msg: WireMsg,
 {
     let graph = cmd.graph.build();
-    if cmd.ids.len() != graph.node_count() {
+    let map = ShardMap::new(graph.node_count(), cmd.shards);
+    if cmd.shards != map.num_shards() || cmd.shard >= map.num_shards() {
         return Err(format!(
-            "init shipped {} ids for a {}-node graph",
-            cmd.ids.len(),
+            "init addresses shard {} of {} on a {}-node graph",
+            cmd.shard,
+            cmd.shards,
             graph.node_count()
+        ));
+    }
+    let owned = map.range(cmd.shard).len();
+    if cmd.ids.len() != owned {
+        return Err(format!(
+            "init shipped {} ids for shard {} owning {owned} nodes",
+            cmd.ids.len(),
+            cmd.shard
         ));
     }
     let input = cmd.input.build(&graph);
     let plan = FaultPlan::parse(&cmd.plan_text).map_err(|e| format!("init plan: {e}"))?;
-    let mut r: ProcRunner<A> = ProcRunner::new(cmd, &graph, &plan);
+    let mut r: ProcRunner<A> = ProcRunner::new(cmd.shard, &map, &graph, &plan);
     r.init_nodes(alg, &graph, &input, &cmd.ids, cmd.n);
 
     let mut ready = open_line("ready");
@@ -657,7 +674,7 @@ where
                 write_line(writer, &reply).map_err(|e| e.to_string())?;
             }
             "compute" => {
-                let round = want_num(&fields, "round")? as u32;
+                let round: u32 = want_int(&fields, "round")?;
                 if cmd.hang_at == Some(round) {
                     // Test hook: this worker is scheduled to wedge here.
                     // A respawned replica replays into the same sleep,
@@ -680,9 +697,9 @@ where
                 write_line(writer, &reply).map_err(|e| e.to_string())?;
             }
             "deliver" => {
-                let round = want_num(&fields, "round")? as u32;
+                let round: u32 = want_int(&fields, "round")?;
                 let crashed = decode_flags(&want_str(&fields, "crashed")?)?;
-                let batches = decode_batches::<A::Msg>(&want_str(&fields, "halos")?)?;
+                let batches = decode_batches::<A::Msg>(want_text(&fields, "halos")?)?;
                 r.inbox = wire::batches_to_inbox(batches);
                 r.deliver(alg, &graph, round, &crashed);
                 let mut reply = open_line("stepped");
@@ -695,8 +712,8 @@ where
                 write_line(writer, &reply).map_err(|e| e.to_string())?;
             }
             "finish" => {
-                let round = want_num(&fields, "round")? as u32;
-                let effective = want_num(&fields, "effective")? as u32;
+                let round: u32 = want_int(&fields, "round")?;
+                let effective: u32 = want_int(&fields, "effective")?;
                 r.no_halt(alg, effective, round);
                 let mut reply = open_line("finished");
                 push_text_field(&mut reply, "f_recv", &take_faults(&mut r.f_recv));
@@ -704,7 +721,7 @@ where
                 write_line(writer, &reply).map_err(|e| e.to_string())?;
             }
             "output" => {
-                let rounds = want_num(&fields, "rounds")? as u32;
+                let rounds: u32 = want_int(&fields, "rounds")?;
                 r.output_nodes(alg, &graph, rounds);
                 let mut reply = open_line("outputs");
                 push_text_field(&mut reply, "labels", &encode_labels(&r.outputs));
@@ -798,5 +815,70 @@ mod tests {
             })
             .collect();
         assert_eq!(labels, expect);
+    }
+
+    fn path_init(ids: usize, shards: usize, shard: usize) -> InitCmd {
+        InitCmd {
+            graph: crate::spec::GraphSpec::Path { n: 1000 },
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: crate::spec::InputSpec::Uniform,
+            ids: (0..ids as u64).collect(),
+            n: 1000,
+            shards,
+            shard,
+            plan_text: FaultPlan::new(0).to_text(),
+            hang_at: None,
+        }
+    }
+
+    fn serve_script(cmd: &InitCmd, script: &str) -> std::thread::Result<Result<(), String>> {
+        std::panic::catch_unwind(|| {
+            serve_shard(cmd, &mut BufReader::new(script.as_bytes()), &mut Vec::new())
+        })
+    }
+
+    /// A worker holds only its owned range's ids; any other count (the
+    /// whole graph's included), or a shard the partition does not have,
+    /// is an `Err` before any node runs, never a panic.
+    #[test]
+    fn a_worker_sent_the_wrong_ids_errs_without_panicking() {
+        for (ids, shards, shard) in [
+            (1000, 2, 0),
+            (499, 2, 1),
+            (501, 2, 1),
+            (0, 1, 0),
+            (500, 2, 2),
+        ] {
+            let outcome = serve_script(&path_init(ids, shards, shard), "");
+            assert!(
+                matches!(outcome, Ok(Err(_))),
+                "{ids} ids for shard {shard} of {shards}: {outcome:?}"
+            );
+        }
+        // 2000 shards clamp to 1000 on a 1000-node path.
+        assert!(matches!(
+            serve_script(&path_init(1, 2000, 0), ""),
+            Ok(Err(_))
+        ));
+        for (ids, shards, shard) in [(500, 2, 1), (1000, 1, 0), (125, 8, 7)] {
+            let outcome = serve_script(&path_init(ids, shards, shard), "");
+            assert!(matches!(outcome, Ok(Ok(()))), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_rounds_are_typed_errors() {
+        let cmd = path_init(1000, 1, 0);
+        for script in [
+            "{\"op\":\"compute\",\"round\":4294967296,\"crashed\":\"0\"}\n",
+            "{\"op\":\"finish\",\"round\":0,\"effective\":4294967296}\n",
+            "{\"op\":\"output\",\"rounds\":4294967297}\n",
+        ] {
+            let outcome = serve_script(&cmd, script);
+            match outcome {
+                Ok(Err(e)) => assert!(e.contains("is out of range for u32"), "{e}"),
+                other => panic!("{script}: {other:?}"),
+            }
+        }
     }
 }

@@ -128,6 +128,53 @@ fn lifted_e1_matches_both_in_process_substrates() {
     assert_equivalence(AlgSpec::AntiMatchingE1 { delta: 3 }, &outcome.algorithm());
 }
 
+/// Shard-scoped init under an adversarial id permutation: each worker
+/// receives only its owned range of the *permuted* ids, and the run
+/// still equals both in-process substrates on a 1000-node path.
+#[test]
+fn owned_id_slices_survive_an_id_permutation() {
+    let spec = GraphSpec::Path { n: 1000 };
+    let g = spec.build();
+    let input = lcl::uniform_input(&g);
+    let ids = ids_for(&g, 9);
+    let plan = lcl_faults::FaultPlan::new(17).with_permuted_ids();
+    let flood = GuardedFlood { k: 3 };
+    let baseline = simulate_sync_with(
+        &flood,
+        &g,
+        &input,
+        &ids,
+        None,
+        10,
+        RunOptions::new().faults(&plan),
+    );
+    assert!(baseline.outcome.faults.is_empty(), "clean baseline");
+    let unpermuted = simulate_sync_with(&flood, &g, &input, &ids, None, 10, RunOptions::new());
+    assert_ne!(
+        unpermuted.outcome.outcome, baseline.outcome.outcome,
+        "the permutation changes which nodes win"
+    );
+    let job = ProcJob {
+        graph: spec,
+        alg: AlgSpec::GuardedFlood { k: 3 },
+        input: InputSpec::Uniform,
+        ids: ids.clone(),
+        n_announced: None,
+        max_rounds: 10,
+    };
+    for shards in [1, 2, 8] {
+        let opts = || RunOptions::new().faults(&plan).sharded(shards);
+        let inproc = simulate_sharded_with(&flood, &g, &input, &ids, None, 10, 2, opts());
+        let run = run_proc_sharded(&job, opts(), &proc_options())
+            .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
+        assert_eq!(run.outcome, baseline.outcome, "proc shards={shards}");
+        assert_eq!(
+            inproc.outcome, baseline.outcome,
+            "in-process shards={shards}"
+        );
+    }
+}
+
 /// A missing worker binary is a typed error, not a hang.
 #[test]
 fn missing_worker_binary_is_a_typed_error() {

@@ -214,21 +214,33 @@ pub enum Scalar {
 
 /// Appends `s` to `out` with protocol-line escaping: quotes,
 /// backslashes, and every control character below `0x20` are escaped so
-/// the result never breaks the one-object-per-line framing.
+/// the result never breaks the one-object-per-line framing. Each run of
+/// bytes that needs no escaping is copied with one `push_str`.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // `i` indexes an ASCII byte, so both slice ends are char
+        // boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Appends `"name":"value"` to `out` (no separators), escaping the
@@ -517,14 +529,16 @@ fn parse_string(line: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Pro
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 character from the source.
-                let rest = &line[*pos..];
-                let c = rest
-                    .chars()
-                    .next()
-                    .expect("why: peek returned Some, so the slice is non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` in one go. Both
+                // are ASCII, so the run ends on a char boundary; raw
+                // control bytes inside it pass through, as they always
+                // have.
+                let start = *pos;
+                *pos = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |k| start + k);
+                out.push_str(&line[start..*pos]);
             }
         }
     }
@@ -551,8 +565,21 @@ fn parse_hex4(line: &str, pos_of_u: usize) -> Result<u32, ProtocolError> {
 ///
 /// [`ProtocolError::Field`] when the field is absent or not a string.
 pub fn get_str(fields: &[(String, Scalar)], name: &'static str) -> Result<String, ProtocolError> {
+    get_text(fields, name).map(str::to_owned)
+}
+
+/// The required string field `name`, borrowed from the parsed object:
+/// [`get_str`] without the copy, for large payload fields.
+///
+/// # Errors
+///
+/// [`ProtocolError::Field`] when the field is absent or not a string.
+pub fn get_text<'a>(
+    fields: &'a [(String, Scalar)],
+    name: &'static str,
+) -> Result<&'a str, ProtocolError> {
     match fields.iter().find(|(n, _)| n == name) {
-        Some((_, Scalar::Str(s))) => Ok(s.clone()),
+        Some((_, Scalar::Str(s))) => Ok(s),
         Some(_) => Err(ProtocolError::Field {
             name,
             what: "must be a string",
@@ -918,5 +945,202 @@ mod tests {
         let line = encode_request(&req);
         assert_eq!(parse_request(&line).unwrap(), req);
         assert!(line.contains("\\u0007"));
+    }
+
+    /// The char-by-char escaper the run-copying [`escape_into`] replaced:
+    /// the reference it must reproduce byte for byte.
+    fn escape_into_by_char(out: &mut String, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// The char-by-char string scanner the run-copying [`parse_string`]
+    /// replaced: same accepted language, same errors, same positions.
+    fn parse_string_by_char(
+        line: &str,
+        bytes: &[u8],
+        pos: &mut usize,
+    ) -> Result<String, ProtocolError> {
+        expect(bytes, pos, b'"', "a string opening `\"`")?;
+        let mut out = String::new();
+        loop {
+            match peek(bytes, *pos) {
+                None => {
+                    return Err(ProtocolError::Malformed {
+                        pos: *pos,
+                        what: "a closing `\"`",
+                    })
+                }
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match peek(bytes, *pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let code = parse_hex4(line, *pos)?;
+                            if (0xD800..=0xDBFF).contains(&code) {
+                                let pair_err = ProtocolError::Malformed {
+                                    pos: *pos,
+                                    what: "a \\u low surrogate completing the pair",
+                                };
+                                if bytes.get(*pos + 5) != Some(&b'\\')
+                                    || bytes.get(*pos + 6) != Some(&b'u')
+                                {
+                                    return Err(pair_err);
+                                }
+                                let low = parse_hex4(line, *pos + 6)?;
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err(pair_err);
+                                }
+                                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                out.push(char::from_u32(scalar).unwrap());
+                                *pos += 10;
+                            } else {
+                                let c = char::from_u32(code).ok_or(ProtocolError::Malformed {
+                                    pos: *pos,
+                                    what: "a \\u high surrogate before a low surrogate",
+                                })?;
+                                out.push(c);
+                                *pos += 4;
+                            }
+                        }
+                        _ => {
+                            return Err(ProtocolError::Malformed {
+                                pos: *pos,
+                                what: "a valid escape character",
+                            })
+                        }
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let c = line[*pos..].chars().next().unwrap();
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Seeded strings built from every piece the two fast paths treat
+    /// specially: each escape (valid and not), the shard wire's
+    /// `\u{1e}`/`\u{1f}` separators, raw control bytes, non-ASCII text,
+    /// surrogate-pair escapes and lone surrogate halves.
+    fn seeded_strings(seed: u64, count: usize) -> Vec<String> {
+        const PIECES: &[&str] = &[
+            "a",
+            "plain text ",
+            "0,1;2",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{7}",
+            "\u{1e}",
+            "\u{1f}",
+            "\u{7f}",
+            "π",
+            "日本",
+            "\u{1f600}",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\u001e",
+            "\\u001F",
+            "\\ud83d\\ude00",
+            "\\ud83d",
+            "\\ude00",
+            "\\ud83d x",
+            "\\u12",
+            "\\u+123",
+            "\\x",
+            "\\",
+        ];
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count)
+            .map(|_| {
+                let len = (next() % 12) as usize;
+                (0..len)
+                    .map(|_| PIECES[(next() % PIECES.len() as u64) as usize])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_copying_escaper_matches_the_char_by_char_reference() {
+        for seed in 1..=4 {
+            for s in seeded_strings(seed, 500) {
+                let (mut fast, mut slow) = (String::from("x"), String::from("x"));
+                escape_into(&mut fast, &s);
+                escape_into_by_char(&mut slow, &s);
+                assert_eq!(fast, slow, "{s:?}");
+                // Whatever it escapes, the line scanner reads back.
+                let line = format!("{{\"v\":\"{}\"}}", &fast[1..]);
+                assert_eq!(
+                    parse_flat_object(&line).unwrap(),
+                    vec![("v".to_string(), Scalar::Str(s.clone()))]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_copying_string_scanner_matches_the_char_by_char_reference() {
+        for seed in 1..=4 {
+            for s in seeded_strings(seed, 500) {
+                // Raw (possibly malformed or unterminated) and escaped
+                // spellings, with and without a closing quote.
+                let mut escaped = String::new();
+                escape_into(&mut escaped, &s);
+                for line in [
+                    format!("\"{s}"),
+                    format!("\"{s}\""),
+                    format!("\"{escaped}"),
+                    format!("\"{escaped}\" tail"),
+                ] {
+                    let bytes = line.as_bytes();
+                    let (mut fast_pos, mut slow_pos) = (0, 0);
+                    let fast = parse_string(&line, bytes, &mut fast_pos);
+                    let slow = parse_string_by_char(&line, bytes, &mut slow_pos);
+                    assert_eq!(fast, slow, "{line:?}");
+                    if fast.is_ok() {
+                        assert_eq!(fast_pos, slow_pos, "{line:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,12 @@ cargo build --release
 echo "== cargo test --release =="
 cargo test -q --release
 
+echo "== cargo test --workspace --release (every crate's tests) =="
+# The root run above covers only the facade package; this one runs the
+# unit and integration tests of every workspace crate (protocol, store,
+# snapshot, bench-diff, procshard wire, graph generators, ...).
+cargo test --workspace --release -q
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
