@@ -13,9 +13,10 @@
 //! - [`wire`] — the line protocol both sides speak, built on
 //!   [`lcl_service::protocol`]. Halo payloads are opaque to the
 //!   supervisor; faults, events, and labels have exact codecs.
-//! - [`worker`] — the child side: a faithful transplant of the
-//!   in-process shard runner, stepped by supervisor commands instead
-//!   of thread barriers.
+//! - [`worker`] — the child side: a socket driver of
+//!   [`lcl_shard::ShardKernel`], the same per-shard kernel the
+//!   in-process executor steps, fed supervisor commands instead of
+//!   thread barriers.
 //! - [`supervisor`] — the parent side: spawns the fleet, drives the
 //!   barrier, arms socket deadlines as per-superstep heartbeats,
 //!   SIGKILLs shards the fault plan says to kill, and brings dead

@@ -13,7 +13,6 @@
 //! the supervisor routes them as opaque strings. That is what keeps
 //! the supervisor non-generic over algorithms.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use lcl_faults::NodeFault;
@@ -175,9 +174,9 @@ impl WireMsg for (u64, u32) {
     }
 }
 
-/// Halo batches keyed by peer shard: each entry is `(peer, payload)`
-/// where a `None` payload slot is a mute (unsent) halo position.
-pub type HaloBatches<M> = Vec<(usize, Vec<Option<M>>)>;
+/// Halo batches are the shard kernel's transport types: outgoing
+/// `(destination, payload)` pairs and an inbox keyed by source.
+pub use lcl_shard::{HaloBatches, HaloInbox};
 
 /// Encodes halo batches as `peer>e1,e2,..|peer>..`; `_` is a mute
 /// (`None`) entry. `peer` is the destination shard in a `computed`
@@ -238,7 +237,7 @@ pub fn decode_batches<M: WireMsg>(text: &str) -> Result<HaloBatches<M>, String> 
 }
 
 /// Re-keys decoded batches by peer for inbox assembly.
-pub fn batches_to_inbox<M: WireMsg>(batches: HaloBatches<M>) -> BTreeMap<usize, Vec<Option<M>>> {
+pub fn batches_to_inbox<M: WireMsg>(batches: HaloBatches<M>) -> HaloInbox<M> {
     batches.into_iter().collect()
 }
 

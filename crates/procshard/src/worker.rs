@@ -1,595 +1,49 @@
 //! The shard worker: one OS process owning one shard of a run.
 //!
-//! A worker is a faithful transplant of the in-process shard runner
-//! (`lcl_shard`'s superstep executor) into its own address space. It
-//! reconstructs its shard of the computation from an [`InitCmd`] —
-//! graph, input, ids, and fault plan are all rebuilt locally from the
-//! deterministic spec — and then steps through the same five phases
-//! the mpsc substrate uses (`begin`, `compute`, `deliver`, `finish`,
-//! `output`), driven by supervisor commands over a Unix socket instead
-//! of a thread barrier. Faults are buffered per phase and shipped in
+//! A worker is the socket driver of [`ShardKernel`], the per-shard
+//! state and phase methods the in-process executor also steps. It
+//! rebuilds its shard of the computation from an [`InitCmd`] — graph,
+//! input, ids, and fault plan all come from the deterministic spec —
+//! and then maps each supervisor command onto a kernel phase: `begin`
+//! to [`ShardKernel::begin_round`], `compute` to
+//! [`ShardKernel::compute`] (whose outgoing batches go into the reply),
+//! `deliver` to [`ShardKernel::deliver`] (fed the command's batches),
+//! `finish` to [`ShardKernel::no_halt`] and `output` to
+//! [`ShardKernel::output_nodes`]. Socket input is checked before it
+//! reaches the kernel: a crashed-flag string must name every shard and
+//! mark this one only where its plan does, a `deliver` must follow the
+//! `compute` of its superstep, and each halo batch must come from a
+//! peer with the route's length, so malformed input is an `Err`, never
+//! a panic. Faults are shipped in
 //! each reply exactly once, so the supervisor's shard-order merge
-//! reconstructs the same global fault order as the in-process
-//! executor — which is what makes a clean one-shard proc run
-//! bit-identical to `sharded(1)` and the unsharded executor.
+//! reconstructs the same global fault order as the in-process executor
+//! — which is what makes a clean one-shard proc run bit-identical to
+//! `sharded(1)` and the unsharded executor.
 //!
 //! The worker has no deadline logic and no notion of its own death:
-//! `Fault::ShardKill` is filtered out of the carved domain plan, so a
-//! kill arrives only as a real `SIGKILL` from the supervisor. Replay
-//! rehydration works because everything here is deterministic — a
-//! respawned worker fed the same command history lands in the same
-//! state, byte for byte.
+//! its budget is unlimited, and `Fault::ShardKill` is filtered out of
+//! the carved domain plan, so a kill arrives only as a real `SIGKILL`
+//! from the supervisor. An escaped panic kills the process, which the
+//! supervisor observes as worker death. Replay rehydration works
+//! because everything here is deterministic — a respawned worker fed
+//! the same command history lands in the same state, byte for byte.
 
-use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
 
-use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
 use lcl_core::{tree_speedup, SpeedupOptions};
-use lcl_faults::{inject_panic, isolate, Budget, FaultPlan, NodeFault};
-use lcl_graph::{Graph, NodeId, ShardMap};
-use lcl_local::{NodeInit, SyncAlgorithm};
-use lcl_obs::{Event, EventLog};
+use lcl_faults::{Budget, FaultPlan, NodeFault};
+use lcl_graph::ShardMap;
+use lcl_local::SyncAlgorithm;
 use lcl_problems::anti_matching;
 use lcl_service::protocol::Scalar;
-use lcl_shard::{ShardDomain, ShardSnapshot, SHARD_SNAPSHOT_VERSION};
+use lcl_shard::{GuardedFlood, ShardKernel};
 
-use crate::spec::{AlgSpec, GuardedFlood};
+use crate::spec::AlgSpec;
 use crate::wire::{
     self, decode_batches, decode_flags, encode_batches, encode_events, encode_faults,
     encode_labels, open_line, push_bool_field, push_num_field, push_text_field, read_fields,
     want_int, want_str, want_text, write_line, InitCmd, WireMsg,
 };
-
-/// Records a fault into a phase buffer and mirrors it into the worker's
-/// private event stream (shipped to the supervisor at output time).
-fn buffer_fault(
-    buf: &mut Vec<NodeFault>,
-    events: &EventLog,
-    node: u64,
-    round: u32,
-    tag: &'static str,
-    payload: String,
-) {
-    events.record(Event::Fault {
-        node,
-        round: u64::from(round),
-        fault: tag,
-    });
-    buf.push(NodeFault {
-        node,
-        round: u64::from(round),
-        payload,
-    });
-}
-
-/// The in-memory image a whole-shard rebuild restores.
-type SnapshotImage<A> = (
-    Vec<Option<<A as SyncAlgorithm>::State>>,
-    Vec<Option<u32>>,
-    Vec<Option<Vec<<A as SyncAlgorithm>::Msg>>>,
-);
-
-/// One shard's execution state inside a worker process: the in-process
-/// runner's fields minus the mpsc plumbing (halos arrive as decoded
-/// wire batches) and minus the `lost` leg (an escaped panic here kills
-/// the whole process, which the supervisor observes as worker death).
-struct ProcRunner<A: SyncAlgorithm> {
-    domain: ShardDomain,
-    stage: String,
-    start: usize,
-    len: usize,
-    states: Vec<Option<A::State>>,
-    died: Vec<Option<u32>>,
-    last_outbox: Vec<Option<Vec<A::Msg>>>,
-    outboxes: Vec<Option<Vec<A::Msg>>>,
-    outputs: Vec<Vec<OutLabel>>,
-    snapshot: Option<SnapshotImage<A>>,
-    /// Destination shard → `(source node, source port)` entries in the
-    /// receiver's scan order, recomputed locally from the shared spec.
-    out_routes: BTreeMap<usize, Vec<(u32, u8)>>,
-    /// `(source node, source port)` → (source shard, batch position).
-    halo_pos: HashMap<(u32, u8), (usize, u32)>,
-    /// Batches decoded from the current `deliver` command's payload.
-    inbox: BTreeMap<usize, Vec<Option<A::Msg>>>,
-    f_init: Vec<NodeFault>,
-    f_crash: Vec<NodeFault>,
-    f_send: Vec<NodeFault>,
-    f_recv: Vec<NodeFault>,
-    f_out: Vec<NodeFault>,
-    all_done: bool,
-    round_messages: u64,
-    round_halo_messages: u64,
-    round_halo_bytes: u64,
-    supersteps: u64,
-    halo_messages: u64,
-    halo_bytes: u64,
-    crashes: u64,
-    rebuilds: u64,
-    checkpoints: u64,
-}
-
-impl<A: SyncAlgorithm> ProcRunner<A> {
-    fn id(&self) -> usize {
-        self.domain.id()
-    }
-
-    /// Builds the worker's runner: carves the shard's fault domain out
-    /// of the shipped plan (kills filtered — see [`ShardDomain::carve`])
-    /// and recomputes the halo routes the coordinator's scan yields,
-    /// visiting only the shard's own half-edges.
-    fn new(me: usize, map: &ShardMap, graph: &Graph, plan: &FaultPlan) -> Self {
-        let range = map.range(me);
-        // Destination shard → (receiver node, receiver port, source
-        // node, source port); sorting on the receiver's half-edge puts
-        // each route in the receiver's scan order.
-        let mut outgoing: BTreeMap<usize, Vec<(u32, u8, u32, u8)>> = BTreeMap::new();
-        let mut halo_pos: HashMap<(u32, u8), (usize, u32)> = HashMap::new();
-        let mut in_counts: HashMap<usize, u32> = HashMap::new();
-        for i in range.clone() {
-            let v = NodeId(i as u32);
-            for h in graph.half_edges_of(v) {
-                let twin = graph.twin(h);
-                let u = graph.node_of(twin);
-                let d = map.shard_of(u);
-                if d == me {
-                    continue;
-                }
-                let q = graph.port_of(twin);
-                outgoing
-                    .entry(d)
-                    .or_default()
-                    .push((u.0, q, v.0, graph.port_of(h)));
-                let idx = in_counts.entry(d).or_insert(0);
-                halo_pos.insert((u.0, q), (d, *idx));
-                *idx += 1;
-            }
-        }
-        let out_routes = outgoing
-            .into_iter()
-            .map(|(d, mut route)| {
-                route.sort_unstable();
-                (d, route.into_iter().map(|(_, _, v, p)| (v, p)).collect())
-            })
-            .collect();
-        Self {
-            // The worker's budget axis is the supervisor's concern
-            // (deadlines and `max_rounds` are enforced from outside),
-            // so the carved domain is unlimited here.
-            domain: ShardDomain::carve(me, map, plan, &Budget::unlimited()),
-            stage: format!("shard/{me}"),
-            start: range.start,
-            len: range.len(),
-            states: Vec::new(),
-            died: Vec::new(),
-            last_outbox: Vec::new(),
-            outboxes: Vec::new(),
-            outputs: Vec::new(),
-            snapshot: None,
-            out_routes,
-            halo_pos,
-            inbox: BTreeMap::new(),
-            f_init: Vec::new(),
-            f_crash: Vec::new(),
-            f_send: Vec::new(),
-            f_recv: Vec::new(),
-            f_out: Vec::new(),
-            all_done: false,
-            round_messages: 0,
-            round_halo_messages: 0,
-            round_halo_bytes: 0,
-            supersteps: 0,
-            halo_messages: 0,
-            halo_bytes: 0,
-            crashes: 0,
-            rebuilds: 0,
-            checkpoints: 0,
-        }
-    }
-
-    /// Initializes the shard's nodes (panic-isolated per node); `ids`
-    /// holds the owned nodes' ids by local offset.
-    fn init_nodes(
-        &mut self,
-        alg: &A,
-        graph: &Graph,
-        input: &HalfEdgeLabeling<InLabel>,
-        ids: &[u64],
-        n: usize,
-    ) {
-        self.states = Vec::with_capacity(self.len);
-        self.died = Vec::with_capacity(self.len);
-        for (local, &id) in ids.iter().enumerate() {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let init = NodeInit {
-                node: v,
-                n,
-                id,
-                degree: graph.degree(v),
-                inputs: graph.half_edges_of(v).map(|h| input.get(h)).collect(),
-            };
-            match isolate(|| alg.init(&init)) {
-                Ok(state) => {
-                    self.states.push(Some(state));
-                    self.died.push(None);
-                }
-                Err(payload) => {
-                    buffer_fault(
-                        &mut self.f_init,
-                        self.domain.events(),
-                        i as u64,
-                        0,
-                        "panic",
-                        payload,
-                    );
-                    self.states.push(None);
-                    self.died.push(Some(0));
-                }
-            }
-        }
-        self.last_outbox = vec![None; self.len];
-    }
-
-    /// Superstep prologue: reports whether every owned node is finished
-    /// (mirroring the in-process all-done scan; the cancel-token
-    /// checkpoint is absent because the worker's budget is unlimited).
-    fn begin_round(&mut self, alg: &A) {
-        self.all_done = (0..self.len).all(|local| {
-            self.died[local].is_some()
-                || self.states[local]
-                    .as_ref()
-                    .is_some_and(|s| isolate(|| alg.is_done(s)).unwrap_or(true))
-        });
-    }
-
-    /// Records one `"no-halt"` fault per live unfinished node.
-    fn no_halt(&mut self, alg: &A, effective: u32, round: u32) {
-        for local in 0..self.len {
-            let live = self.died[local].is_none();
-            let not_done = self.states[local]
-                .as_ref()
-                .is_some_and(|s| !isolate(|| alg.is_done(s)).unwrap_or(true));
-            if live && not_done {
-                buffer_fault(
-                    &mut self.f_recv,
-                    self.domain.events(),
-                    (self.start + local) as u64,
-                    round,
-                    "no-halt",
-                    format!("did not halt within {effective} rounds"),
-                );
-            }
-        }
-    }
-
-    /// The current integrity anchor: the snapshot envelope the worker
-    /// ships with every `stepped` reply. The supervisor retains the
-    /// last one and compares it against the replayed worker's — a
-    /// mismatch means the replay diverged and rehydration must fail
-    /// loudly rather than continue from corrupt state.
-    fn snapshot_meta(&self, superstep: u32) -> ShardSnapshot {
-        ShardSnapshot {
-            version: SHARD_SNAPSHOT_VERSION,
-            shard: self.id() as u64,
-            range_start: self.start as u64,
-            range_end: (self.start + self.len) as u64,
-            superstep: u64::from(superstep),
-            live_nodes: self.died.iter().filter(|d| d.is_none()).count() as u64,
-            halo_messages: self.halo_messages,
-            halo_bytes: self.halo_bytes,
-        }
-    }
-
-    /// Takes the superstep-start checkpoint (round-tripped envelope
-    /// plus the in-memory image a whole-shard rebuild restores).
-    fn checkpoint(&mut self, round: u32) {
-        let meta = self.snapshot_meta(round);
-        let round_tripped = ShardSnapshot::parse(&meta.to_json())
-            .expect("why: a just-serialized shard snapshot always parses back");
-        assert_eq!(round_tripped, meta, "snapshot round trip is lossless");
-        self.snapshot = Some((
-            self.states.clone(),
-            self.died.clone(),
-            self.last_outbox.clone(),
-        ));
-        self.checkpoints += 1;
-        self.domain.events().record(Event::Checkpoint {
-            stage: self.stage.clone(),
-            completed: u64::from(round),
-        });
-    }
-
-    /// Applies the shard plan's crash-stops scheduled for `round`.
-    fn apply_crash_stops(&mut self, round: u32) {
-        for local in 0..self.len {
-            let i = self.start + local;
-            if self.died[local].is_none() && self.domain.plan().crash_round(i) == Some(round) {
-                buffer_fault(
-                    &mut self.f_crash,
-                    self.domain.events(),
-                    i as u64,
-                    round,
-                    "crash-stop",
-                    "crash-stop".into(),
-                );
-                self.died[local] = Some(round);
-            }
-        }
-    }
-
-    /// Computes the shard's outboxes for `round` with the full
-    /// per-node fault treatment of the in-process send phase.
-    fn compute_outboxes(&mut self, alg: &A, graph: &Graph, round: u32) {
-        let mut outboxes: Vec<Option<Vec<A::Msg>>> = Vec::with_capacity(self.len);
-        for local in 0..self.len {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            if self.died[local].is_some() {
-                outboxes.push(self.last_outbox[local].clone());
-                continue;
-            }
-            let state = self.states[local]
-                .as_ref()
-                .expect("why: died is None, and every live node holds a state");
-            let sent = if self.domain.plan().panics(i) && round == 0 {
-                isolate(|| inject_panic(i as u64))
-            } else {
-                isolate(|| alg.send(state, round))
-            };
-            match sent {
-                Ok(out) if out.len() == graph.degree(v) as usize => outboxes.push(Some(out)),
-                Ok(out) => {
-                    buffer_fault(
-                        &mut self.f_send,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "wrong-arity",
-                        format!(
-                            "sent {} messages from a degree-{} node",
-                            out.len(),
-                            graph.degree(v)
-                        ),
-                    );
-                    self.died[local] = Some(round);
-                    outboxes.push(self.last_outbox[local].clone());
-                }
-                Err(payload) => {
-                    buffer_fault(
-                        &mut self.f_send,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "panic",
-                        payload,
-                    );
-                    self.died[local] = Some(round);
-                    outboxes.push(self.last_outbox[local].clone());
-                }
-            }
-        }
-        self.round_messages = outboxes
-            .iter()
-            .map(|o| o.as_ref().map_or(0, |m| m.len() as u64))
-            .sum();
-        self.outboxes = outboxes;
-    }
-
-    /// Assembles this superstep's outgoing halo batches. `only_crashed`
-    /// restricts the fan-out to fellow-crashed destinations — the
-    /// rebuild path's re-exchange, since healthy shards retained their
-    /// inbound copies (supervisor-side, queued for the next deliver).
-    fn collect_halos(
-        &mut self,
-        only_crashed: Option<&[bool]>,
-    ) -> Vec<(usize, Vec<Option<A::Msg>>)> {
-        let mut batches = Vec::new();
-        for (dst, route) in &self.out_routes {
-            if let Some(crashed) = only_crashed {
-                if !crashed[*dst] {
-                    continue;
-                }
-            }
-            let payload: Vec<Option<A::Msg>> = route
-                .iter()
-                .map(|&(u, q)| {
-                    self.outboxes[u as usize - self.start]
-                        .as_ref()
-                        .map(|o| o[q as usize].clone())
-                })
-                .collect();
-            let sent = payload.iter().filter(|m| m.is_some()).count() as u64;
-            self.round_halo_messages += sent;
-            self.round_halo_bytes += sent * std::mem::size_of::<A::Msg>() as u64;
-            batches.push((*dst, payload));
-        }
-        batches
-    }
-
-    /// One `compute` command: the healthy superstep (checkpoint if
-    /// crash-planned, crash-stops, sends, full halo fan-out) — or, if
-    /// this shard is crash-scheduled now, the loss-and-rebuild arc the
-    /// in-process executor runs as two barriers, folded into one reply:
-    /// the superstep's work is discarded, the snapshot restored, and
-    /// the replayed halos go only to fellow-crashed shards.
-    fn compute(
-        &mut self,
-        alg: &A,
-        graph: &Graph,
-        round: u32,
-        crashed_now: &[bool],
-    ) -> Vec<(usize, Vec<Option<A::Msg>>)> {
-        self.round_messages = 0;
-        self.round_halo_messages = 0;
-        self.round_halo_bytes = 0;
-        if self.domain.has_planned_crashes() {
-            self.checkpoint(round);
-        }
-        if crashed_now[self.id()] {
-            self.outboxes = Vec::new();
-            self.crashes += 1;
-            let payload = format!("shard {} lost whole at superstep {round}", self.id());
-            buffer_fault(
-                &mut self.f_crash,
-                self.domain.events(),
-                self.start as u64,
-                round,
-                "shard-crash",
-                payload,
-            );
-            let (states, died, last_outbox) = self
-                .snapshot
-                .clone()
-                .expect("why: crash-planned shards checkpoint at the start of every superstep");
-            self.states = states;
-            self.died = died;
-            self.last_outbox = last_outbox;
-            self.rebuilds += 1;
-            self.domain.events().record(Event::Retry {
-                stage: self.stage.clone(),
-                attempt: self.crashes,
-                backoff_ms: 10 << (self.crashes.min(4) - 1),
-            });
-            self.apply_crash_stops(round);
-            self.compute_outboxes(alg, graph, round);
-            return self.collect_halos(Some(crashed_now));
-        }
-        self.apply_crash_stops(round);
-        self.compute_outboxes(alg, graph, round);
-        self.collect_halos(None)
-    }
-
-    /// Delivery: assemble each live node's inbox (local ports from the
-    /// shard's own outboxes, boundary ports from the decoded batches)
-    /// and receive, with the in-process halo-loss and missing-message
-    /// rules intact.
-    fn deliver(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
-        for local in 0..self.len {
-            if self.died[local].is_some() {
-                continue;
-            }
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let mut halo_lost: Option<usize> = None;
-            let inbox: Option<Vec<A::Msg>> = graph
-                .half_edges_of(v)
-                .map(|h| {
-                    let twin = graph.twin(h);
-                    let u = graph.node_of(twin);
-                    let q = graph.port_of(twin);
-                    if (self.start..self.start + self.len).contains(&u.index()) {
-                        self.outboxes[u.index() - self.start]
-                            .as_ref()
-                            .map(|o| o[q as usize].clone())
-                    } else {
-                        let &(d, idx) = self
-                            .halo_pos
-                            .get(&(u.0, q))
-                            .expect("why: every cross half-edge was routed at setup");
-                        match self.inbox.get(&d) {
-                            Some(batch) => batch[idx as usize].clone(),
-                            None => {
-                                if crashed_now[d] {
-                                    halo_lost.get_or_insert(d);
-                                }
-                                None
-                            }
-                        }
-                    }
-                })
-                .collect();
-            if let Some(d) = halo_lost {
-                buffer_fault(
-                    &mut self.f_recv,
-                    self.domain.events(),
-                    i as u64,
-                    round,
-                    "halo-loss",
-                    format!("halo from crashed shard {d} lost at superstep {round}"),
-                );
-                continue;
-            }
-            if let Some(inbox) = inbox {
-                let state = self.states[local]
-                    .as_mut()
-                    .expect("why: died is None, and every live node holds a state");
-                if let Err(payload) = isolate(|| alg.receive(state, &inbox, round)) {
-                    buffer_fault(
-                        &mut self.f_recv,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "panic",
-                        payload,
-                    );
-                    self.died[local] = Some(round);
-                }
-            }
-        }
-        for (slot, sent) in self.last_outbox.iter_mut().zip(&self.outboxes) {
-            if sent.is_some() {
-                *slot = sent.clone();
-            }
-        }
-        self.halo_messages += self.round_halo_messages;
-        self.halo_bytes += self.round_halo_bytes;
-        self.supersteps += 1;
-        self.domain.events().record(Event::ShardStep {
-            shard: self.id() as u64,
-            superstep: u64::from(round),
-            halo_messages: self.round_halo_messages,
-            halo_bytes: self.round_halo_bytes,
-        });
-    }
-
-    /// Computes the shard's output labels with the in-process output
-    /// phase's fault treatment.
-    fn output_nodes(&mut self, alg: &A, graph: &Graph, rounds: u32) {
-        self.outputs = vec![Vec::new(); self.len];
-        for local in 0..self.len {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let degree = graph.degree(v) as usize;
-            let Some(state) = self.states[local].as_ref() else {
-                self.outputs[local] = vec![OutLabel(0); degree];
-                continue;
-            };
-            let labels =
-                if self.domain.plan().panics(i) && self.died[local].is_none() && rounds == 0 {
-                    isolate(|| inject_panic(i as u64))
-                } else {
-                    isolate(|| alg.output(state))
-                };
-            self.outputs[local] = match labels {
-                Ok(out) if out.len() == degree => out,
-                Ok(out) => {
-                    buffer_fault(
-                        &mut self.f_out,
-                        self.domain.events(),
-                        i as u64,
-                        rounds,
-                        "wrong-arity",
-                        format!("labeled {} ports of a degree-{degree} node", out.len()),
-                    );
-                    vec![OutLabel(0); degree]
-                }
-                Err(payload) => {
-                    if self.died[local].is_none() {
-                        buffer_fault(
-                            &mut self.f_out,
-                            self.domain.events(),
-                            i as u64,
-                            rounds,
-                            "panic",
-                            payload,
-                        );
-                    }
-                    vec![OutLabel(0); degree]
-                }
-            };
-        }
-    }
-}
 
 /// Drains a fault buffer into its wire form.
 fn take_faults(buf: &mut Vec<NodeFault>) -> String {
@@ -646,8 +100,27 @@ where
     }
     let input = cmd.input.build(&graph);
     let plan = FaultPlan::parse(&cmd.plan_text).map_err(|e| format!("init plan: {e}"))?;
-    let mut r: ProcRunner<A> = ProcRunner::new(cmd.shard, &map, &graph, &plan);
+    // The worker's budget axis is the supervisor's concern (deadlines
+    // and `max_rounds` are enforced from outside), so the carved
+    // domain is unlimited here.
+    let mut r: ShardKernel<A> =
+        ShardKernel::new(cmd.shard, &map, &graph, &plan, &Budget::unlimited());
     r.init_nodes(alg, &graph, &input, &cmd.ids, cmd.n);
+    // Crashed-shard flags, one per shard of the partition.
+    let crashed_flags = |fields: &[(String, Scalar)]| -> Result<Vec<bool>, String> {
+        let flags = decode_flags(&want_str(fields, "crashed")?)?;
+        if flags.len() != cmd.shards {
+            return Err(format!(
+                "crashed flags name {} shards of {}",
+                flags.len(),
+                cmd.shards
+            ));
+        }
+        Ok(flags)
+    };
+    // The superstep whose `compute` awaits its `deliver`: delivery
+    // reads the outboxes that compute filled.
+    let mut computed: Option<u32> = None;
 
     let mut ready = open_line("ready");
     push_text_field(&mut ready, "alg_name", alg.name());
@@ -667,7 +140,8 @@ where
         let op = want_str(&fields, "op")?;
         match op.as_str() {
             "begin" => {
-                r.begin_round(alg);
+                let round: u32 = want_int(&fields, "round")?;
+                r.begin_round(alg, round).map_err(|e| e.to_string())?;
                 let mut reply = open_line("begun");
                 push_bool_field(&mut reply, "all_done", r.all_done);
                 reply.push('}');
@@ -683,8 +157,16 @@ where
                         std::thread::sleep(std::time::Duration::from_secs(3600));
                     }
                 }
-                let crashed = decode_flags(&want_str(&fields, "crashed")?)?;
+                let crashed = crashed_flags(&fields)?;
+                if crashed[cmd.shard] != r.domain().crashes_at(round) {
+                    // Only a planned crash has a checkpoint to rebuild from.
+                    return Err(format!(
+                        "crashed flags disagree with shard {}'s plan at superstep {round}",
+                        cmd.shard
+                    ));
+                }
                 let halos = r.compute(alg, &graph, round, &crashed);
+                computed = Some(round);
                 let mut reply = open_line("computed");
                 push_num_field(&mut reply, "round_messages", r.round_messages);
                 push_text_field(&mut reply, "halos", &encode_batches(&halos));
@@ -698,10 +180,16 @@ where
             }
             "deliver" => {
                 let round: u32 = want_int(&fields, "round")?;
-                let crashed = decode_flags(&want_str(&fields, "crashed")?)?;
+                if computed.take() != Some(round) {
+                    return Err(format!(
+                        "deliver for superstep {round} follows no compute of it"
+                    ));
+                }
+                let crashed = crashed_flags(&fields)?;
                 let batches = decode_batches::<A::Msg>(want_text(&fields, "halos")?)?;
-                r.inbox = wire::batches_to_inbox(batches);
-                r.deliver(alg, &graph, round, &crashed);
+                let inbox = wire::batches_to_inbox(batches);
+                r.check_inbox(&inbox)?;
+                r.deliver(alg, &graph, round, &crashed, &inbox);
                 let mut reply = open_line("stepped");
                 push_text_field(&mut reply, "f_recv", &take_faults(&mut r.f_recv));
                 push_text_field(&mut reply, "snapshot", &r.snapshot_meta(round).to_json());
@@ -730,7 +218,7 @@ where
                 push_text_field(
                     &mut reply,
                     "events",
-                    &encode_events(&r.domain.events().events()),
+                    &encode_events(&r.domain().events().events()),
                 );
                 reply.push('}');
                 write_line(writer, &reply).map_err(|e| e.to_string())?;
@@ -744,6 +232,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl::OutLabel;
+    use lcl_graph::NodeId;
     use lcl_service::protocol::parse_flat_object;
     use std::io::BufReader;
 
@@ -880,5 +370,62 @@ mod tests {
                 other => panic!("{script}: {other:?}"),
             }
         }
+    }
+
+    /// Socket input the kernel cannot step — a crashed flag string
+    /// that does not name every shard or marks an unplanned crash, a
+    /// halo batch from a non-peer or of the wrong length, a deliver
+    /// without its compute — is a typed `Err`, not a panic.
+    #[test]
+    fn malformed_flags_and_halo_batches_are_typed_errors() {
+        let cmd = path_init(500, 2, 1);
+        let compute = |crashed: &str| {
+            format!("{{\"op\":\"compute\",\"round\":0,\"crashed\":\"{crashed}\"}}\n")
+        };
+        let deliver = |crashed: &str, halos: &str| {
+            format!(
+                "{{\"op\":\"deliver\",\"round\":0,\"crashed\":\"{crashed}\",\"halos\":\"{halos}\"}}\n"
+            )
+        };
+        for (script, want) in [
+            (compute(""), "crashed flags name 0 shards of 2"),
+            (compute("000"), "crashed flags name 3 shards of 2"),
+            (
+                compute("00") + &deliver("0", "0>1"),
+                "crashed flags name 1 shards of 2",
+            ),
+            (
+                compute("00") + &deliver("00", "0>"),
+                "halo batch from shard 0 has 0 entries; shard 1 expects 1",
+            ),
+            (
+                compute("00") + &deliver("00", "0>1,2"),
+                "halo batch from shard 0 has 2 entries; shard 1 expects 1",
+            ),
+            (
+                compute("00") + &deliver("00", "1>1"),
+                "halo batch from shard 1, which is not a peer of shard 1",
+            ),
+            (
+                compute("01"),
+                "crashed flags disagree with shard 1's plan at superstep 0",
+            ),
+            (
+                deliver("00", "0>7"),
+                "deliver for superstep 0 follows no compute of it",
+            ),
+            (
+                compute("00") + &deliver("00", "0>7") + &deliver("00", "0>7"),
+                "deliver for superstep 0 follows no compute of it",
+            ),
+        ] {
+            match serve_script(&cmd, &script) {
+                Ok(Err(e)) => assert_eq!(e, want, "{script}"),
+                other => panic!("{script}: {other:?}"),
+            }
+        }
+        // The well-formed version of the same exchange serves cleanly.
+        let script = compute("00") + &deliver("00", "0>7");
+        assert!(matches!(serve_script(&cmd, &script), Ok(Ok(()))));
     }
 }

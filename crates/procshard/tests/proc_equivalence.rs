@@ -3,10 +3,13 @@
 //! sockets — must be bit-identical to the in-process sharded executor
 //! and to the unsharded executor on the golden catalog, for every
 //! shard count. Moving a shard into its own address space changes
-//! *where* a run executes, never *what* it computes.
+//! *where* a run executes, never *what* it computes. Under fault plans
+//! the two sharded substrates must still agree with each other: they
+//! step the same shard kernel, so crashes, rebuilds and halo losses
+//! come out the same on both sides.
 
 use lcl_core::{tree_speedup, SpeedupOptions};
-use lcl_faults::RunOptions;
+use lcl_faults::{Fault, FaultPlan, RunOptions};
 use lcl_graph::Graph;
 use lcl_local::{simulate_sync_with, SyncAlgorithm};
 use lcl_obs::Counter;
@@ -172,6 +175,93 @@ fn owned_id_slices_survive_an_id_permutation() {
             inproc.outcome, baseline.outcome,
             "in-process shards={shards}"
         );
+    }
+}
+
+/// Proc-sharded and in-process sharded runs of one fault plan agree
+/// on outcome, fault list and every shard counter: a whole-shard crash
+/// (loss, checkpoint restore, replay, re-send to fellow-crashed shards)
+/// and node faults take the same course on both substrates.
+#[test]
+fn fault_plans_agree_across_the_process_boundary() {
+    let plans = [
+        (
+            "one shard crash",
+            FaultPlan::new(1).with(Fault::ShardCrash {
+                shard: 0,
+                superstep: 0,
+            }),
+        ),
+        (
+            "two shard crashes",
+            FaultPlan::new(2)
+                .with(Fault::ShardCrash {
+                    shard: 0,
+                    superstep: 1,
+                })
+                .with(Fault::ShardCrash {
+                    shard: 1,
+                    superstep: 1,
+                }),
+        ),
+        (
+            "crash and panic",
+            FaultPlan::new(3)
+                .with(Fault::Crash { node: 5, round: 1 })
+                .with(Fault::PanicNode { node: 20 }),
+        ),
+    ];
+    let flood = GuardedFlood { k: 2 };
+    let proc = proc_options();
+    for (graph_name, spec) in [
+        ("path", GraphSpec::Path { n: 40 }),
+        (
+            "tree",
+            GraphSpec::RandomTree {
+                n: 64,
+                max_degree: 3,
+                seed: 5,
+            },
+        ),
+    ] {
+        let g = spec.build();
+        let input = lcl::uniform_input(&g);
+        let ids = ids_for(&g, 4);
+        let job = ProcJob {
+            graph: spec,
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: InputSpec::Uniform,
+            ids: ids.clone(),
+            n_announced: None,
+            max_rounds: 10,
+        };
+        for (plan_name, plan) in &plans {
+            for shards in [1, 3, 4] {
+                let at = format!("{graph_name}: {plan_name}: shards={shards}");
+                let opts = || RunOptions::new().faults(plan).sharded(shards);
+                let inproc = simulate_sharded_with(&flood, &g, &input, &ids, None, 10, 2, opts());
+                let run =
+                    run_proc_sharded(&job, opts(), &proc).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(inproc.outcome.is_degraded(), "{at}: the plan bites");
+                assert_eq!(run.outcome.outcome, inproc.outcome.outcome, "{at}");
+                assert_eq!(run.outcome.faults, inproc.outcome.faults, "{at}");
+                for counter in [
+                    Counter::Rounds,
+                    Counter::Messages,
+                    Counter::Supersteps,
+                    Counter::HaloMessages,
+                    Counter::ShardCrashes,
+                    Counter::ShardRebuilds,
+                    Counter::Checkpoints,
+                ] {
+                    assert_eq!(
+                        run.trace.total(counter),
+                        inproc.trace.total(counter),
+                        "{at}: {counter:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -5,9 +5,12 @@
 //! into contiguous shards, each shard is stepped as its own fault
 //! domain ([`ShardDomain`]: private fault plan, budget, cancel token,
 //! and event stream), and LOCAL rounds execute as boundary-exchange
-//! supersteps over `std::sync::mpsc` channels. The executor
-//! ([`simulate_sharded_with`]) is bit-identical to the single-image
-//! faulted executor for every plan without whole-shard losses —
+//! supersteps over `std::sync::mpsc` channels. Each shard's state and
+//! per-node fault rules live in one [`ShardKernel`], which both this
+//! crate's executor and the `lcl_procshard` worker process step. The
+//! executor ([`simulate_sharded_with`]) is bit-identical to the
+//! single-image faulted executor for every plan without whole-shard
+//! losses —
 //! outcome, fault list, and event-log cost model all agree across
 //! every shard count and runner thread count.
 //!
@@ -25,11 +28,15 @@
 //! unplanned shard loss condemns only that shard's nodes).
 
 pub mod domain;
+pub mod flood;
+pub mod kernel;
 pub mod recovery;
 pub mod run;
 pub mod snapshot;
 
 pub use domain::{ShardDomain, SHARD_EVENT_CAPACITY};
+pub use flood::{FloodState, GuardedFlood};
+pub use kernel::{HaloBatches, HaloInbox, ShardKernel};
 pub use recovery::repair_sharded;
 pub use run::simulate_sharded_with;
 pub use snapshot::{ShardSnapshot, ShardSnapshotError, SHARD_SNAPSHOT_VERSION};

@@ -7,9 +7,14 @@
 //! (a `std::thread::scope` join) between the phases, so a superstep's
 //! halos are always fully enqueued before any shard starts delivering.
 //!
+//! Each shard is a [`ShardKernel`]; this module is its in-process
+//! driver: it carries [`ShardKernel::compute`]'s outgoing batches to
+//! the destination shards' channels and drains each shard's channel
+//! into the inbox [`ShardKernel::deliver`] reads.
+//!
 //! # Bit-identity with the single-image executor
 //!
-//! The per-node semantics are an exact mirror of
+//! The kernel's per-node semantics are an exact mirror of
 //! `lcl_local`'s degrading executor (crash-stops before sends, beacons
 //! from dead nodes, skip-on-incomplete-inbox, panic isolation per node
 //! invocation), and all per-shard fault records are buffered per phase
@@ -26,562 +31,85 @@
 //! work of that superstep is lost, including the halo batches it would
 //! have sent. Crash-planned shards checkpoint at the start of every
 //! superstep ([`ShardSnapshot`] round-trip plus an in-memory image), so
-//! the rebuild restores the superstep-start state, replays the lost
-//! compute, and re-exchanges halos with shards that crashed alongside
-//! it. Healthy shards have already consumed their retained copies of
-//! nothing — they never received the dead shard's batch — so their
-//! frontier nodes record a `"halo-loss"` fault and skip the round,
-//! exactly like a node whose neighbor died mute. Everything else in a
-//! healthy shard, and everything in the rebuilt shard, proceeds
-//! bit-identically to a crash-free run; containment of the damage to
-//! healthy-shard frontiers is what `crate::recovery` exploits.
+//! the rebuild — in the same compute phase — restores the
+//! superstep-start state, replays the lost compute, and re-exchanges
+//! halos with shards that crashed alongside it. Healthy shards have
+//! already consumed their retained copies of nothing — they never
+//! received the dead shard's batch — so their frontier nodes record a
+//! `"halo-loss"` fault and skip the round, exactly like a node whose
+//! neighbor died mute. Everything else in a healthy shard, and
+//! everything in the rebuilt shard, proceeds bit-identically to a
+//! crash-free run; containment of the damage to healthy-shard
+//! frontiers is what `crate::recovery` exploits.
 //!
 //! [`Fault::ShardCrash`]: lcl_faults::Fault::ShardCrash
+//! [`ShardSnapshot`]: crate::ShardSnapshot
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Receiver, Sender};
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{inject_panic, isolate, Degraded, FaultPlan, NodeFault, RunOptions};
-use lcl_graph::{Graph, NodeId, ShardMap};
-use lcl_local::{IdAssignment, NodeInit, SyncAlgorithm, SyncRun};
-use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
+use lcl_faults::{isolate, Degraded, FaultPlan, NodeFault, RunOptions};
+use lcl_graph::{Graph, ShardMap};
+use lcl_local::{IdAssignment, SyncAlgorithm, SyncRun};
+use lcl_obs::{Counter, Event, RunReport, Span, Trace};
 
-use crate::domain::ShardDomain;
-use crate::snapshot::{ShardSnapshot, SHARD_SNAPSHOT_VERSION};
+use crate::kernel::{HaloInbox, ShardKernel};
 
 /// One shard's boundary messages to one neighbor shard for one
-/// superstep, in the receiver's `(node, port)` scan order. `None`
-/// entries are ports whose source node was mute (dead without a
-/// beacon), mirroring the unsharded executor's missing-message
-/// semantics.
+/// superstep, as [`ShardKernel::compute`] assembled them.
 struct HaloBatch<M> {
     from: usize,
     superstep: u32,
     payload: Vec<Option<M>>,
 }
 
-/// Appends a fault record to a phase buffer and mirrors it into the
-/// shard's private event stream (the coordinator folds those streams
-/// into the caller's log at the end of the run).
-fn buffer_fault(
-    buf: &mut Vec<NodeFault>,
-    events: &EventLog,
-    node: u64,
-    round: u32,
-    tag: &'static str,
-    payload: String,
-) {
-    events.record(Event::Fault {
-        node,
-        round: u64::from(round),
-        fault: tag,
-    });
-    buf.push(NodeFault {
-        node,
-        round: u64::from(round),
-        payload,
-    });
-}
-
-/// The mutable execution state of one shard, stepped by at most one
+/// One shard's kernel plus its mpsc plumbing, stepped by at most one
 /// runner thread per phase.
 struct Runner<A: SyncAlgorithm> {
-    domain: ShardDomain,
-    stage: String,
-    start: usize,
-    len: usize,
-    states: Vec<Option<A::State>>,
-    died: Vec<Option<u32>>,
-    last_outbox: Vec<Option<Vec<A::Msg>>>,
-    outboxes: Vec<Option<Vec<A::Msg>>>,
-    outputs: Vec<Vec<OutLabel>>,
-    snapshot: Option<SnapshotImage<A>>,
+    kernel: ShardKernel<A>,
     rx: Receiver<HaloBatch<A::Msg>>,
     txs: BTreeMap<usize, Sender<HaloBatch<A::Msg>>>,
-    /// Destination shard → `(source node, source port)` entries in the
-    /// receiver's scan order.
-    out_routes: BTreeMap<usize, Vec<(u32, u8)>>,
-    /// `(source node, source port)` → (source shard, batch position).
-    halo_pos: HashMap<(u32, u8), (usize, u32)>,
-    /// Batches received for the current superstep, keyed by sender.
-    inbox: BTreeMap<usize, Vec<Option<A::Msg>>>,
-    f_init: Vec<NodeFault>,
-    f_crash: Vec<NodeFault>,
-    f_send: Vec<NodeFault>,
-    f_recv: Vec<NodeFault>,
-    f_out: Vec<NodeFault>,
-    all_done: bool,
     /// Permanently gone: an unplanned panic escaped a shard step (or
     /// the shard's budget breached) and no rebuild is possible.
     lost: bool,
-    round_messages: u64,
-    round_halo_messages: u64,
-    round_halo_bytes: u64,
-    supersteps: u64,
-    halo_messages: u64,
-    halo_bytes: u64,
-    crashes: u64,
-    rebuilds: u64,
-    checkpoints: u64,
 }
 
-/// The in-memory image a whole-shard rebuild restores: states, death
-/// rounds, and beacon outboxes as of the start of a superstep.
-type SnapshotImage<A> = (
-    Vec<Option<<A as SyncAlgorithm>::State>>,
-    Vec<Option<u32>>,
-    Vec<Option<Vec<<A as SyncAlgorithm>::Msg>>>,
-);
-
 impl<A: SyncAlgorithm> Runner<A> {
-    fn id(&self) -> usize {
-        self.domain.id()
-    }
-
-    /// Marks every live node dead at `round` with one fault each — the
-    /// degrade leg for unplanned whole-shard trouble (an escaped panic
-    /// or a budget breach) with no snapshot to rebuild from.
-    fn condemn(&mut self, round: u32, tag: &'static str, payload: &str) {
-        for local in 0..self.len {
-            if self.died[local].is_none() {
-                self.died[local] = Some(round);
-                buffer_fault(
-                    &mut self.f_recv,
-                    self.domain.events(),
-                    (self.start + local) as u64,
-                    round,
-                    tag,
-                    payload.to_string(),
-                );
-            }
-        }
-        self.all_done = true;
-    }
-
-    /// Superstep prologue: checkpoint the shard's cancel token, then
-    /// report whether every owned node is finished (mirroring the
-    /// unsharded all-done scan, panic-isolated `is_done` included).
-    fn begin_round(&mut self, alg: &A, round: u32) {
-        if let Err(breach) = self
-            .domain
-            .token()
-            .checkpoint(&self.stage, u64::from(round))
-        {
-            let payload = breach.to_string();
+    /// Superstep prologue; a budget breach loses the shard for good.
+    fn begin(&mut self, alg: &A, round: u32) {
+        if let Err(breach) = self.kernel.begin_round(alg, round) {
             self.lost = true;
-            self.condemn(round, "budget", &payload);
-            return;
-        }
-        self.all_done = (0..self.len).all(|local| {
-            self.died[local].is_some()
-                || self.states[local]
-                    .as_ref()
-                    .is_some_and(|s| isolate(|| alg.is_done(s)).unwrap_or(true))
-        });
-    }
-
-    /// Records one `"no-halt"` fault per live unfinished node, in node
-    /// order, when the round cap is exhausted.
-    fn no_halt(&mut self, alg: &A, effective: u32, round: u32) {
-        for local in 0..self.len {
-            let live = self.died[local].is_none();
-            let not_done = self.states[local]
-                .as_ref()
-                .is_some_and(|s| !isolate(|| alg.is_done(s)).unwrap_or(true));
-            if live && not_done {
-                buffer_fault(
-                    &mut self.f_recv,
-                    self.domain.events(),
-                    (self.start + local) as u64,
-                    round,
-                    "no-halt",
-                    format!("did not halt within {effective} rounds"),
-                );
-            }
+            self.kernel.condemn(round, "budget", &breach.to_string());
         }
     }
 
-    /// Initializes the shard's nodes (panic-isolated per node).
-    fn init_nodes(
-        &mut self,
-        alg: &A,
-        graph: &Graph,
-        input: &HalfEdgeLabeling<InLabel>,
-        ids: &[u64],
-        n: usize,
-    ) {
-        self.states = Vec::with_capacity(self.len);
-        self.died = Vec::with_capacity(self.len);
-        for local in 0..self.len {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let init = NodeInit {
-                node: v,
-                n,
-                id: ids[i],
-                degree: graph.degree(v),
-                inputs: graph.half_edges_of(v).map(|h| input.get(h)).collect(),
-            };
-            match isolate(|| alg.init(&init)) {
-                Ok(state) => {
-                    self.states.push(Some(state));
-                    self.died.push(None);
-                }
-                Err(payload) => {
-                    buffer_fault(
-                        &mut self.f_init,
-                        self.domain.events(),
-                        i as u64,
-                        0,
-                        "panic",
-                        payload,
-                    );
-                    self.states.push(None);
-                    self.died.push(Some(0));
-                }
-            }
-        }
-        self.last_outbox = vec![None; self.len];
-    }
-
-    /// Takes the superstep-start checkpoint: serializes and re-parses
-    /// the [`ShardSnapshot`] envelope (that round trip is what the
-    /// `Checkpoint` event attests) and clones the in-memory image the
-    /// rebuild would restore.
-    fn checkpoint(&mut self, round: u32) {
-        let meta = ShardSnapshot {
-            version: SHARD_SNAPSHOT_VERSION,
-            shard: self.id() as u64,
-            range_start: self.start as u64,
-            range_end: (self.start + self.len) as u64,
-            superstep: u64::from(round),
-            live_nodes: self.died.iter().filter(|d| d.is_none()).count() as u64,
-            halo_messages: self.halo_messages,
-            halo_bytes: self.halo_bytes,
-        };
-        let round_tripped = ShardSnapshot::parse(&meta.to_json())
-            .expect("why: a just-serialized shard snapshot always parses back");
-        assert_eq!(round_tripped, meta, "snapshot round trip is lossless");
-        self.snapshot = Some((
-            self.states.clone(),
-            self.died.clone(),
-            self.last_outbox.clone(),
-        ));
-        self.checkpoints += 1;
-        self.domain.events().record(Event::Checkpoint {
-            stage: self.stage.clone(),
-            completed: u64::from(round),
-        });
-    }
-
-    /// Applies the shard plan's crash-stops scheduled for `round`, in
-    /// node order (mirroring the unsharded pre-send scan).
-    fn apply_crash_stops(&mut self, round: u32) {
-        for local in 0..self.len {
-            let i = self.start + local;
-            if self.died[local].is_none() && self.domain.plan().crash_round(i) == Some(round) {
-                buffer_fault(
-                    &mut self.f_crash,
-                    self.domain.events(),
-                    i as u64,
-                    round,
-                    "crash-stop",
-                    "crash-stop".into(),
-                );
-                self.died[local] = Some(round);
-            }
-        }
-    }
-
-    /// Computes the shard's outboxes for `round` with the full
-    /// per-node fault treatment of the unsharded send phase: beacons
-    /// from dead nodes, injected first-send panics, wrong-arity and
-    /// panic degradation.
-    fn compute_outboxes(&mut self, alg: &A, graph: &Graph, round: u32) {
-        let mut outboxes: Vec<Option<Vec<A::Msg>>> = Vec::with_capacity(self.len);
-        for local in 0..self.len {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            if self.died[local].is_some() {
-                outboxes.push(self.last_outbox[local].clone());
-                continue;
-            }
-            let state = self.states[local]
-                .as_ref()
-                .expect("why: died is None, and every live node holds a state");
-            let sent = if self.domain.plan().panics(i) && round == 0 {
-                isolate(|| inject_panic(i as u64))
-            } else {
-                isolate(|| alg.send(state, round))
-            };
-            match sent {
-                Ok(out) if out.len() == graph.degree(v) as usize => outboxes.push(Some(out)),
-                Ok(out) => {
-                    buffer_fault(
-                        &mut self.f_send,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "wrong-arity",
-                        format!(
-                            "sent {} messages from a degree-{} node",
-                            out.len(),
-                            graph.degree(v)
-                        ),
-                    );
-                    self.died[local] = Some(round);
-                    outboxes.push(self.last_outbox[local].clone());
-                }
-                Err(payload) => {
-                    buffer_fault(
-                        &mut self.f_send,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "panic",
-                        payload,
-                    );
-                    self.died[local] = Some(round);
-                    outboxes.push(self.last_outbox[local].clone());
-                }
-            }
-        }
-        self.round_messages = outboxes
-            .iter()
-            .map(|o| o.as_ref().map_or(0, |m| m.len() as u64))
-            .sum();
-        self.outboxes = outboxes;
-    }
-
-    /// Sends this superstep's halo batches. `only_crashed` restricts
-    /// the fan-out to fellow-crashed destinations — the rebuild path's
-    /// re-exchange, since healthy shards never lost their copies.
-    fn send_halos(&mut self, superstep: u32, only_crashed: Option<&[bool]>) {
-        for (dst, route) in &self.out_routes {
-            if let Some(crashed) = only_crashed {
-                if !crashed[*dst] {
-                    continue;
-                }
-            }
-            let payload: Vec<Option<A::Msg>> = route
-                .iter()
-                .map(|&(u, q)| {
-                    self.outboxes[u as usize - self.start]
-                        .as_ref()
-                        .map(|o| o[q as usize].clone())
-                })
-                .collect();
-            let sent = payload.iter().filter(|m| m.is_some()).count() as u64;
-            self.round_halo_messages += sent;
-            self.round_halo_bytes += sent * std::mem::size_of::<A::Msg>() as u64;
+    /// The send side of a superstep, with the batches put on the
+    /// destination shards' channels.
+    fn compute_and_send(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
+        let from = self.kernel.id();
+        for (dst, payload) in self.kernel.compute(alg, graph, round, crashed_now) {
             let batch = HaloBatch {
-                from: self.id(),
-                superstep,
+                from,
+                superstep: round,
                 payload,
             };
-            if self.txs[dst].send(batch).is_err() {
+            if self.txs[&dst].send(batch).is_err() {
                 // A receiver can only be gone if its runner was dropped,
                 // which never happens mid-run; treat as mute.
             }
         }
     }
 
-    /// The healthy-shard superstep: checkpoint if crash-planned, apply
-    /// crash-stops, compute sends, and fan halos out to every neighbor
-    /// shard. Crash-scheduled shards stop after the checkpoint — their
-    /// superstep is lost and [`Runner::crash_and_rebuild`] replays it.
-    fn phase_compute(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
-        self.round_messages = 0;
-        self.round_halo_messages = 0;
-        self.round_halo_bytes = 0;
-        if self.domain.has_planned_crashes() {
-            self.checkpoint(round);
-        }
-        if crashed_now[self.id()] {
-            // The shard dies at the start of the superstep: it computes
-            // nothing and its outgoing halos are lost.
-            self.outboxes = Vec::new();
-            return;
-        }
-        self.apply_crash_stops(round);
-        self.compute_outboxes(alg, graph, round);
-        self.send_halos(round, None);
-    }
-
-    /// Whole-shard loss and recovery: record the crash, restore the
-    /// superstep-start snapshot, and replay the lost superstep —
-    /// re-exchanging halos only with shards that crashed alongside
-    /// (healthy neighbors retained their inbound copies in their
-    /// channel queues).
-    fn crash_and_rebuild(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
-        self.crashes += 1;
-        let payload = format!("shard {} lost whole at superstep {round}", self.id());
-        buffer_fault(
-            &mut self.f_crash,
-            self.domain.events(),
-            self.start as u64,
-            round,
-            "shard-crash",
-            payload,
-        );
-        let (states, died, last_outbox) = self
-            .snapshot
-            .clone()
-            .expect("why: crash-planned shards checkpoint at the start of every superstep");
-        self.states = states;
-        self.died = died;
-        self.last_outbox = last_outbox;
-        self.rebuilds += 1;
-        self.domain.events().record(Event::Retry {
-            stage: self.stage.clone(),
-            attempt: self.crashes,
-            backoff_ms: 10 << (self.crashes.min(4) - 1),
-        });
-        self.apply_crash_stops(round);
-        self.compute_outboxes(alg, graph, round);
-        self.send_halos(round, Some(crashed_now));
-    }
-
-    /// Delivery: drain this superstep's halo batches, assemble each
-    /// live node's inbox (local ports from the shard's own outboxes,
-    /// boundary ports from the batches), and receive. A port whose
-    /// source shard crashed this superstep records a `"halo-loss"`
-    /// fault and skips the round; a `None` entry (mute dead source) or
-    /// a batch missing from a permanently lost shard skips silently,
-    /// exactly like the unsharded missing-message rule.
-    fn deliver(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
-        self.inbox.clear();
+    /// Delivery from this superstep's queued batches.
+    fn drain_and_deliver(&mut self, alg: &A, graph: &Graph, round: u32, crashed_now: &[bool]) {
+        let mut inbox: HaloInbox<A::Msg> = BTreeMap::new();
         while let Ok(batch) = self.rx.try_recv() {
             if batch.superstep == round {
-                self.inbox.insert(batch.from, batch.payload);
+                inbox.insert(batch.from, batch.payload);
             }
         }
-        for local in 0..self.len {
-            if self.died[local].is_some() {
-                continue;
-            }
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let mut halo_lost: Option<usize> = None;
-            let inbox: Option<Vec<A::Msg>> = graph
-                .half_edges_of(v)
-                .map(|h| {
-                    let twin = graph.twin(h);
-                    let u = graph.node_of(twin);
-                    let q = graph.port_of(twin);
-                    if (self.start..self.start + self.len).contains(&u.index()) {
-                        self.outboxes[u.index() - self.start]
-                            .as_ref()
-                            .map(|o| o[q as usize].clone())
-                    } else {
-                        let &(d, idx) = self
-                            .halo_pos
-                            .get(&(u.0, q))
-                            .expect("why: every cross half-edge was routed at setup");
-                        match self.inbox.get(&d) {
-                            Some(batch) => batch[idx as usize].clone(),
-                            None => {
-                                if crashed_now[d] {
-                                    halo_lost.get_or_insert(d);
-                                }
-                                None
-                            }
-                        }
-                    }
-                })
-                .collect();
-            if let Some(d) = halo_lost {
-                buffer_fault(
-                    &mut self.f_recv,
-                    self.domain.events(),
-                    i as u64,
-                    round,
-                    "halo-loss",
-                    format!("halo from crashed shard {d} lost at superstep {round}"),
-                );
-                continue;
-            }
-            if let Some(inbox) = inbox {
-                let state = self.states[local]
-                    .as_mut()
-                    .expect("why: died is None, and every live node holds a state");
-                if let Err(payload) = isolate(|| alg.receive(state, &inbox, round)) {
-                    buffer_fault(
-                        &mut self.f_recv,
-                        self.domain.events(),
-                        i as u64,
-                        round,
-                        "panic",
-                        payload,
-                    );
-                    self.died[local] = Some(round);
-                }
-            }
-        }
-        for (slot, sent) in self.last_outbox.iter_mut().zip(&self.outboxes) {
-            if sent.is_some() {
-                *slot = sent.clone();
-            }
-        }
-        self.halo_messages += self.round_halo_messages;
-        self.halo_bytes += self.round_halo_bytes;
-        self.supersteps += 1;
-        self.domain.events().record(Event::ShardStep {
-            shard: self.id() as u64,
-            superstep: u64::from(round),
-            halo_messages: self.round_halo_messages,
-            halo_bytes: self.round_halo_bytes,
-        });
-    }
-
-    /// Computes the shard's output labels with the unsharded output
-    /// phase's fault treatment (late injected panics, wrong arity,
-    /// placeholder labels for stateless nodes).
-    fn output_nodes(&mut self, alg: &A, graph: &Graph, rounds: u32) {
-        self.outputs = vec![Vec::new(); self.len];
-        for local in 0..self.len {
-            let i = self.start + local;
-            let v = NodeId(i as u32);
-            let degree = graph.degree(v) as usize;
-            let Some(state) = self.states[local].as_ref() else {
-                self.outputs[local] = vec![OutLabel(0); degree];
-                continue;
-            };
-            let labels =
-                if self.domain.plan().panics(i) && self.died[local].is_none() && rounds == 0 {
-                    isolate(|| inject_panic(i as u64))
-                } else {
-                    isolate(|| alg.output(state))
-                };
-            self.outputs[local] = match labels {
-                Ok(out) if out.len() == degree => out,
-                Ok(out) => {
-                    buffer_fault(
-                        &mut self.f_out,
-                        self.domain.events(),
-                        i as u64,
-                        rounds,
-                        "wrong-arity",
-                        format!("labeled {} ports of a degree-{degree} node", out.len()),
-                    );
-                    vec![OutLabel(0); degree]
-                }
-                Err(payload) => {
-                    if self.died[local].is_none() {
-                        buffer_fault(
-                            &mut self.f_out,
-                            self.domain.events(),
-                            i as u64,
-                            rounds,
-                            "panic",
-                            payload,
-                        );
-                    }
-                    vec![OutLabel(0); degree]
-                }
-            };
-        }
+        self.kernel.deliver(alg, graph, round, crashed_now, &inbox);
     }
 
     /// Discards any queued batches of a permanently lost shard so its
@@ -606,7 +134,7 @@ where
     }
     if let Err(payload) = isolate(|| f(r)) {
         r.lost = true;
-        r.condemn(round, "shard-loss", &payload);
+        r.kernel.condemn(round, "shard-loss", &payload);
     }
 }
 
@@ -712,77 +240,18 @@ where
     let m = map.num_shards();
     let mut span = Span::start(format!("shard/sync/{}", alg.name()));
 
-    // Halo routing: for every ordered shard pair (sender, receiver),
-    // the sender's entry list in the receiver's (node, port) scan
-    // order, plus the receiver's reverse index for inbox assembly.
-    let mut out_routes: Vec<BTreeMap<usize, Vec<(u32, u8)>>> =
-        (0..m).map(|_| BTreeMap::new()).collect();
-    let mut halo_pos: Vec<HashMap<(u32, u8), (usize, u32)>> =
-        (0..m).map(|_| HashMap::new()).collect();
-    for (s, pos) in halo_pos.iter_mut().enumerate() {
-        for i in map.range(s) {
-            let v = NodeId(i as u32);
-            for h in graph.half_edges_of(v) {
-                let twin = graph.twin(h);
-                let u = graph.node_of(twin);
-                let d = map.shard_of(u);
-                if d == s {
-                    continue;
-                }
-                let q = graph.port_of(twin);
-                let route = out_routes[d].entry(s).or_default();
-                pos.insert((u.0, q), (d, route.len() as u32));
-                route.push((u.0, q));
-            }
-        }
-    }
-
     let (txs_all, rxs): (Vec<_>, Vec<_>) = (0..m).map(|_| mpsc::channel()).unzip();
-    let mut halo_pos = halo_pos.into_iter();
-    let mut runners: Vec<Runner<A>> = out_routes
+    let mut runners: Vec<Runner<A>> = rxs
         .into_iter()
-        .zip(rxs)
         .enumerate()
-        .map(|(s, (routes, rx))| {
-            let txs = routes
-                .keys()
-                .map(|&d| (d, txs_all[d].clone()))
-                .collect::<BTreeMap<_, _>>();
-            let range = map.range(s);
+        .map(|(s, rx)| {
+            let kernel = ShardKernel::new(s, &map, graph, plan, &budget);
+            let txs = kernel.peers().map(|d| (d, txs_all[d].clone())).collect();
             Runner {
-                domain: ShardDomain::carve(s, &map, plan, &budget),
-                stage: format!("shard/{s}"),
-                start: range.start,
-                len: range.len(),
-                states: Vec::new(),
-                died: Vec::new(),
-                last_outbox: Vec::new(),
-                outboxes: Vec::new(),
-                outputs: Vec::new(),
-                snapshot: None,
+                kernel,
                 rx,
                 txs,
-                out_routes: routes,
-                halo_pos: halo_pos
-                    .next()
-                    .expect("why: one reverse halo index exists per shard"),
-                inbox: BTreeMap::new(),
-                f_init: Vec::new(),
-                f_crash: Vec::new(),
-                f_send: Vec::new(),
-                f_recv: Vec::new(),
-                f_out: Vec::new(),
-                all_done: false,
                 lost: false,
-                round_messages: 0,
-                round_halo_messages: 0,
-                round_halo_bytes: 0,
-                supersteps: 0,
-                halo_messages: 0,
-                halo_bytes: 0,
-                crashes: 0,
-                rebuilds: 0,
-                checkpoints: 0,
             }
         })
         .collect();
@@ -791,27 +260,30 @@ where
     let mut faults: Vec<NodeFault> = Vec::new();
     let mut messages = 0u64;
     let mut rounds = 0u32;
+    // Appends one phase buffer of every shard, in shard order.
+    let drain = |runners: &mut [Runner<A>],
+                 faults: &mut Vec<NodeFault>,
+                 buf: fn(&mut ShardKernel<A>) -> &mut Vec<NodeFault>| {
+        for r in runners {
+            faults.append(buf(&mut r.kernel));
+        }
+    };
 
     for_each_shard(&mut runners, threads, 0, |r| {
-        r.init_nodes(alg, graph, input, ids, n);
+        let range = map.range(r.kernel.id());
+        r.kernel.init_nodes(alg, graph, input, &ids[range], n);
     });
-    for r in &mut runners {
-        faults.append(&mut r.f_init);
-    }
-    for r in &mut runners {
-        faults.append(&mut r.f_recv);
-    }
+    drain(&mut runners, &mut faults, |k| &mut k.f_init);
+    drain(&mut runners, &mut faults, |k| &mut k.f_recv);
 
     loop {
-        for_each_shard(&mut runners, threads, rounds, |r| {
-            r.begin_round(alg, rounds)
-        });
-        if runners.iter().all(|r| r.lost || r.all_done) {
+        for_each_shard(&mut runners, threads, rounds, |r| r.begin(alg, rounds));
+        if runners.iter().all(|r| r.lost || r.kernel.all_done) {
             break;
         }
         if rounds >= effective {
             for_each_shard(&mut runners, threads, rounds, |r| {
-                r.no_halt(alg, effective, rounds);
+                r.kernel.no_halt(alg, effective, rounds);
             });
             break;
         }
@@ -822,36 +294,23 @@ where
         }
         let crashed_now: Vec<bool> = runners
             .iter()
-            .map(|r| !r.lost && r.domain.crashes_at(rounds))
+            .map(|r| !r.lost && r.kernel.domain().crashes_at(rounds))
             .collect();
         let crashed = crashed_now.as_slice();
         for_each_shard(&mut runners, threads, rounds, |r| {
-            r.phase_compute(alg, graph, rounds, crashed);
+            r.compute_and_send(alg, graph, rounds, crashed);
         });
-        if crashed.iter().any(|&c| c) {
-            for_each_shard(&mut runners, threads, rounds, |r| {
-                if crashed[r.id()] {
-                    r.crash_and_rebuild(alg, graph, rounds, crashed);
-                }
-            });
-        }
         let round_messages: u64 = runners
             .iter()
-            .map(|r| if r.lost { 0 } else { r.round_messages })
+            .map(|r| if r.lost { 0 } else { r.kernel.round_messages })
             .sum();
         messages += round_messages;
-        for r in &mut runners {
-            faults.append(&mut r.f_crash);
-        }
-        for r in &mut runners {
-            faults.append(&mut r.f_send);
-        }
+        drain(&mut runners, &mut faults, |k| &mut k.f_crash);
+        drain(&mut runners, &mut faults, |k| &mut k.f_send);
         for_each_shard(&mut runners, threads, rounds, |r| {
-            r.deliver(alg, graph, rounds, crashed);
+            r.drain_and_deliver(alg, graph, rounds, crashed);
         });
-        for r in &mut runners {
-            faults.append(&mut r.f_recv);
-        }
+        drain(&mut runners, &mut faults, |k| &mut k.f_recv);
         if let Some(log) = log {
             log.record(Event::RoundEnd {
                 round: u64::from(rounds),
@@ -862,29 +321,19 @@ where
     }
     // Residual buffers: no-halt faults, and condemnations recorded by a
     // phase that broke out of the loop.
-    for r in &mut runners {
-        faults.append(&mut r.f_crash);
-    }
-    for r in &mut runners {
-        faults.append(&mut r.f_send);
-    }
-    for r in &mut runners {
-        faults.append(&mut r.f_recv);
-    }
+    drain(&mut runners, &mut faults, |k| &mut k.f_crash);
+    drain(&mut runners, &mut faults, |k| &mut k.f_send);
+    drain(&mut runners, &mut faults, |k| &mut k.f_recv);
 
     for_each_shard(&mut runners, threads, rounds, |r| {
-        r.output_nodes(alg, graph, rounds);
+        r.kernel.output_nodes(alg, graph, rounds);
     });
-    for r in &mut runners {
-        faults.append(&mut r.f_out);
-    }
-    for r in &mut runners {
-        faults.append(&mut r.f_recv);
-    }
+    drain(&mut runners, &mut faults, |k| &mut k.f_out);
+    drain(&mut runners, &mut faults, |k| &mut k.f_recv);
 
     let mut outputs: Vec<Vec<Vec<OutLabel>>> = runners
         .iter_mut()
-        .map(|r| std::mem::take(&mut r.outputs))
+        .map(|r| std::mem::take(&mut r.kernel.outputs))
         .collect();
     let output = HalfEdgeLabeling::from_node_fn(graph, |v| {
         let s = map.shard_of(v);
@@ -902,44 +351,29 @@ where
 
     if let Some(log) = log {
         for r in &runners {
-            for event in r.domain.events().events() {
+            for event in r.kernel.domain().events().events() {
                 log.record(event);
             }
         }
     }
 
     let lost_shards = runners.iter().filter(|r| r.lost).count() as u64;
+    let total = |count: fn(&ShardKernel<A>) -> u64| -> u64 {
+        runners.iter().map(|r| count(&r.kernel)).sum()
+    };
     span.set(Counter::Nodes, graph.node_count() as u64);
     span.set(Counter::Edges, graph.edge_count() as u64);
     span.set(Counter::Rounds, u64::from(rounds));
     span.set(Counter::Messages, messages);
     span.set(Counter::Faults, faults.len() as u64);
     span.set(Counter::Shards, m as u64);
-    span.set(
-        Counter::Supersteps,
-        runners.iter().map(|r| r.supersteps).sum(),
-    );
-    span.set(
-        Counter::HaloMessages,
-        runners.iter().map(|r| r.halo_messages).sum(),
-    );
-    span.set(
-        Counter::HaloBytes,
-        runners.iter().map(|r| r.halo_bytes).sum(),
-    );
-    span.set(
-        Counter::ShardCrashes,
-        runners.iter().map(|r| r.crashes).sum::<u64>() + lost_shards,
-    );
-    span.set(
-        Counter::ShardRebuilds,
-        runners.iter().map(|r| r.rebuilds).sum(),
-    );
-    span.set(
-        Counter::Checkpoints,
-        runners.iter().map(|r| r.checkpoints).sum(),
-    );
-    span.set(Counter::Retries, runners.iter().map(|r| r.rebuilds).sum());
+    span.set(Counter::Supersteps, total(|k| k.supersteps));
+    span.set(Counter::HaloMessages, total(|k| k.halo_messages));
+    span.set(Counter::HaloBytes, total(|k| k.halo_bytes));
+    span.set(Counter::ShardCrashes, total(|k| k.crashes) + lost_shards);
+    span.set(Counter::ShardRebuilds, total(|k| k.rebuilds));
+    span.set(Counter::Checkpoints, total(|k| k.checkpoints));
+    span.set(Counter::Retries, total(|k| k.rebuilds));
     let degraded = Degraded {
         outcome: SyncRun { output, rounds },
         faults,
@@ -950,66 +384,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GuardedFlood;
     use lcl_faults::Fault;
-    use lcl_graph::gen;
-
-    /// Flood-max with a halt guard: a node floods the maximum id it has
-    /// seen for `k` rounds and ignores every message after its own
-    /// round counter reaches `k` — so late supersteps (a lagging
-    /// frontier node extending the run) cannot corrupt finished nodes.
-    pub(crate) struct GuardedFlood {
-        pub k: u32,
-    }
-
-    #[derive(Clone)]
-    pub(crate) struct FloodState {
-        best: u64,
-        mine: u64,
-        degree: usize,
-        round: u32,
-        k: u32,
-    }
-
-    impl SyncAlgorithm for GuardedFlood {
-        type State = FloodState;
-        type Msg = u64;
-
-        fn init(&self, init: &NodeInit) -> FloodState {
-            FloodState {
-                best: init.id,
-                mine: init.id,
-                degree: init.degree as usize,
-                round: 0,
-                k: self.k,
-            }
-        }
-
-        fn send(&self, state: &FloodState, _round: u32) -> Vec<u64> {
-            vec![state.best; state.degree]
-        }
-
-        fn receive(&self, state: &mut FloodState, inbox: &[u64], _round: u32) {
-            if state.round >= state.k {
-                return;
-            }
-            for &msg in inbox {
-                state.best = state.best.max(msg);
-            }
-            state.round += 1;
-        }
-
-        fn is_done(&self, state: &FloodState) -> bool {
-            state.round >= state.k
-        }
-
-        fn output(&self, state: &FloodState) -> Vec<OutLabel> {
-            vec![OutLabel(u32::from(state.best == state.mine)); state.degree]
-        }
-
-        fn name(&self) -> &str {
-            "guarded-flood"
-        }
-    }
+    use lcl_graph::{gen, NodeId};
+    use lcl_obs::EventLog;
 
     fn ids(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| i * 31 % 97 + 1).collect()

@@ -139,4 +139,23 @@ if [ -n "$DEPRECATED" ]; then
   exit 1
 fi
 
+echo "== one-definition gate (one shard kernel, one GuardedFlood) =="
+# The per-shard phase methods live in lcl_shard's ShardKernel, which
+# both the in-process executor and the shard-worker process step, and
+# GuardedFlood is exported from lcl_shard. A second definition is a
+# copy that can drift from the one the equivalence tests pin.
+# Baseline 1 each.
+KERNELS=$( (grep -rn --include='*.rs' 'fn compute_outboxes' \
+  crates/shard/src crates/procshard/src || true) | wc -l)
+if [ "$KERNELS" -ne 1 ]; then
+  echo "found $KERNELS definitions of fn compute_outboxes in crates/{shard,procshard}/src (baseline 1)"
+  exit 1
+fi
+FLOODS=$( (grep -rn --include='*.rs' 'impl SyncAlgorithm for GuardedFlood' \
+  crates src tests || true) | wc -l)
+if [ "$FLOODS" -ne 1 ]; then
+  echo "found $FLOODS impl SyncAlgorithm for GuardedFlood in crates/, src/, tests/ (baseline 1)"
+  exit 1
+fi
+
 echo "all checks passed"

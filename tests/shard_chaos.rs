@@ -13,11 +13,11 @@ use lcl_landscape::core::{tree_speedup, SpeedupOptions, SpeedupOutcome};
 use lcl_landscape::faults::{Fault, FaultPlan, RunOptions};
 use lcl_landscape::graph::{gen, Graph, NodeId, ShardMap};
 use lcl_landscape::lcl::{uniform_input, HalfEdgeLabeling, LclProblem, OutLabel};
-use lcl_landscape::local::{run_sync, NodeInit, SyncAlgorithm};
+use lcl_landscape::local::{run_sync, SyncAlgorithm};
 use lcl_landscape::obs::Counter;
 use lcl_landscape::problems::anti_matching;
 use lcl_landscape::recover::RepairOptions;
-use lcl_landscape::shard::{repair_sharded, simulate_sharded_with};
+use lcl_landscape::shard::{repair_sharded, simulate_sharded_with, GuardedFlood};
 
 /// Nodes a whole-shard loss is allowed to damage: every node of a
 /// crashed shard (rebuilt, so normally unchanged anyway) and every
@@ -303,65 +303,6 @@ fn lenient_budget_absorbs_halo_loss() {
     .expect("a clean-equivalent output certifies");
     assert_eq!(report.patched_nodes, 0, "nothing to mend");
     assert!(patched.is_empty());
-}
-
-/// A round-guarded flooding algorithm safe under shard loss: a node
-/// ignores every message after its own round counter reaches `k`, so a
-/// lagging frontier node extending the run cannot corrupt finished
-/// nodes (unlike an unguarded flood, whose monotone max would keep
-/// absorbing stale beacons).
-struct GuardedFlood {
-    k: u32,
-}
-
-#[derive(Clone)]
-struct FloodState {
-    best: u64,
-    mine: u64,
-    degree: usize,
-    round: u32,
-    k: u32,
-}
-
-impl SyncAlgorithm for GuardedFlood {
-    type State = FloodState;
-    type Msg = u64;
-
-    fn init(&self, init: &NodeInit) -> FloodState {
-        FloodState {
-            best: init.id,
-            mine: init.id,
-            degree: init.degree as usize,
-            round: 0,
-            k: self.k,
-        }
-    }
-
-    fn send(&self, state: &FloodState, _round: u32) -> Vec<u64> {
-        vec![state.best; state.degree]
-    }
-
-    fn receive(&self, state: &mut FloodState, inbox: &[u64], _round: u32) {
-        if state.round >= state.k {
-            return;
-        }
-        for &msg in inbox {
-            state.best = state.best.max(msg);
-        }
-        state.round += 1;
-    }
-
-    fn is_done(&self, state: &FloodState) -> bool {
-        state.round >= state.k
-    }
-
-    fn output(&self, state: &FloodState) -> Vec<OutLabel> {
-        vec![OutLabel(u32::from(state.best == state.mine)); state.degree]
-    }
-
-    fn name(&self) -> &str {
-        "guarded-flood"
-    }
 }
 
 /// The scale demonstration (gated in `scripts/check.sh` via
