@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 
 use lcl_bench::diff::{check_schema, detect_schema, diff, DiffOptions};
-use lcl_bench::json::{parse, JsonValue};
+use lcl_obs::json::{parse, Value};
 
 struct Args {
     baseline: String,
@@ -125,21 +125,18 @@ fn parse_args() -> Result<Args, ExitCode> {
     })
 }
 
-fn load(path: &str) -> Result<JsonValue, ExitCode> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("bench-diff: cannot read {path}: {e}");
-            return Err(ExitCode::from(2));
-        }
-    };
-    match parse(&text) {
-        Ok(doc) => Ok(doc),
-        Err(e) => {
-            eprintln!("bench-diff: {path}: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
+fn read(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("bench-diff: cannot read {path}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn load<'a>(path: &str, text: &'a str) -> Result<Value<'a>, ExitCode> {
+    parse(text).map_err(|e| {
+        eprintln!("bench-diff: {path}: {e}");
+        ExitCode::from(2)
+    })
 }
 
 fn main() -> ExitCode {
@@ -147,7 +144,11 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(code) => return code,
     };
-    let baseline = match load(&args.baseline) {
+    let baseline_text = match read(&args.baseline) {
+        Ok(text) => text,
+        Err(code) => return code,
+    };
+    let baseline = match load(&args.baseline, &baseline_text) {
         Ok(doc) => doc,
         Err(code) => return code,
     };
@@ -170,7 +171,11 @@ fn main() -> ExitCode {
     }
 
     let candidate_path = args.candidate.as_deref().unwrap_or(&args.baseline);
-    let candidate = match load(candidate_path) {
+    let candidate_text = match read(candidate_path) {
+        Ok(text) => text,
+        Err(code) => return code,
+    };
+    let candidate = match load(candidate_path, &candidate_text) {
         Ok(doc) => doc,
         Err(code) => return code,
     };

@@ -1,11 +1,9 @@
 //! One knob bundle for every simulator entrypoint.
 //!
-//! The instrumented simulators grew a Cartesian explosion of
-//! entrypoints — `simulate`, `simulate_logged`, `simulate_faulted`, each
-//! per model — where every axis (event capture, fault injection,
-//! resource budgets) doubled the surface. [`RunOptions`] collapses the
-//! axes into one borrowing builder consumed by a single `simulate_with`
-//! per model:
+//! Every axis of a simulator run (event capture, fault injection,
+//! resource budgets) would double the entrypoint surface if each had its
+//! own function. [`RunOptions`] collapses the axes into one borrowing
+//! builder consumed by a single `simulate_with` per model:
 //!
 //! ```
 //! use lcl_faults::{Budget, FaultPlan, RunOptions};

@@ -81,7 +81,8 @@ fn seal_local_span(span: &mut Span, graph: &Graph, run: &LocalRun, view_nodes: u
 /// number of nodes"); `None` announces the true `n`.
 ///
 /// Runs a deterministic LOCAL algorithm under [`RunOptions`]: optional
-/// event capture, optional fault plan. With a fault plan the run is the
+/// event capture (every view materialization is recorded as an
+/// [`Event::ViewMaterialized`]), optional fault plan. With a fault plan the run is the
 /// degrading executor of [`crate::faulted`]; without one the outcome is
 /// [`Degraded::clean`] and bit-identical to the plain run. A budget's
 /// dimensions do not apply to view-based LOCAL runs (the radius is the
@@ -110,36 +111,6 @@ pub fn simulate_with(
         None => simulate_impl(alg, graph, input, ids, n_announced, opts.event_log())
             .map(Degraded::clean),
     }
-}
-
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_deterministic`] forwards here and discards the trace.
-#[deprecated(since = "0.1.0", note = "use `simulate_with(..., RunOptions::new())`")]
-pub fn simulate(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-) -> RunReport<LocalRun> {
-    simulate_impl(alg, graph, input, ids, n_announced, None)
-}
-
-/// Like [`simulate`], with every view materialization recorded as an
-/// [`Event::ViewMaterialized`] into the given [`EventLog`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_logged(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
-    simulate_impl(alg, graph, input, ids, n_announced, log)
 }
 
 pub(crate) fn simulate_impl(
@@ -180,7 +151,9 @@ pub(crate) fn simulate_impl(
 /// Runs a randomized LOCAL algorithm under [`RunOptions`]. Only the
 /// event axis applies: randomized runs see no identifiers, so fault
 /// plans (which key on identifier-visible structure) have no defined
-/// semantics here and `opts` must not carry one.
+/// semantics here and `opts` must not carry one. For the same reason a
+/// recorded [`Event::ViewMaterialized`]'s `node` field is the node's
+/// index in the graph.
 pub fn simulate_randomized_with(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -195,41 +168,6 @@ pub fn simulate_randomized_with(
          simulate_with under a plan instead"
     );
     simulate_randomized_impl(alg, graph, input, seed, n_announced, opts.event_log())
-}
-
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_randomized`] forwards here and discards the trace.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_randomized_with(..., RunOptions::new())`"
-)]
-pub fn simulate_randomized(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-) -> RunReport<LocalRun> {
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, None)
-}
-
-/// Like [`simulate_randomized`], with every view materialization recorded
-/// as an [`Event::ViewMaterialized`] into the given [`EventLog`]. Since
-/// randomized algorithms see no identifiers, the event's `node` field is
-/// the node's index in the graph.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_randomized_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_randomized_logged(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, log)
 }
 
 fn simulate_randomized_impl(
@@ -270,7 +208,7 @@ fn simulate_randomized_impl(
 
 /// Runs a deterministic LOCAL algorithm, discarding the trace.
 ///
-/// Note: superseded by [`simulate`], which additionally reports the
+/// Note: superseded by [`simulate_with`], which additionally reports the
 /// execution trace; this thin wrapper remains for source compatibility.
 pub fn run_deterministic(
     alg: &(impl LocalAlgorithm + ?Sized),
@@ -284,7 +222,7 @@ pub fn run_deterministic(
 
 /// Runs a randomized LOCAL algorithm, discarding the trace.
 ///
-/// Note: superseded by [`simulate_randomized`], which additionally
+/// Note: superseded by [`simulate_randomized_with`], which additionally
 /// reports the execution trace; this thin wrapper remains for source
 /// compatibility.
 pub fn run_randomized(

@@ -94,31 +94,10 @@ pub fn run_sync<A: SyncAlgorithm>(
     run_sync_with(alg, graph, input, ids, n_announced, max_rounds, |_| {})
 }
 
-/// Runs a [`SyncAlgorithm`] to completion and reports the execution
-/// trace: rounds used, messages sent, and the instance shape.
-///
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_sync`] is the trace-free variant.
-///
-/// # Panics
-///
-/// As [`run_sync`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_sync_with(..., RunOptions::new())`"
-)]
-pub fn simulate_sync<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-) -> RunReport<SyncRun> {
-    simulate_sync_impl(alg, graph, input, ids, n_announced, max_rounds, None)
-}
-
-/// Runs a [`SyncAlgorithm`] under [`RunOptions`](lcl_faults::RunOptions).
+/// Runs a [`SyncAlgorithm`] under [`RunOptions`](lcl_faults::RunOptions)
+/// and reports the execution trace: rounds used, messages sent, and the
+/// instance shape. This is the instrumented entrypoint behind the
+/// facade's `Simulation` trait; [`run_sync`] is the trace-free variant.
 ///
 /// Dispatch over the option axes:
 ///
@@ -129,8 +108,10 @@ pub fn simulate_sync<A: SyncAlgorithm>(
 ///   `min(max_rounds, budget.max_rounds)` and likewise routes through
 ///   the degrading executor, so a budget breach is a typed `no-halt`
 ///   degradation instead of the plain executor's panic;
-/// * **events** stream round boundaries (and faults, where they apply)
-///   into the log on every path.
+/// * **events** stream round boundaries (an [`Event::RoundStart`] before
+///   each send phase, an [`Event::RoundEnd`] with the round's message
+///   count after delivery, and faults where they apply) into the log on
+///   every path.
 ///
 /// Without faults or a round budget, the run is the plain instrumented
 /// executor and the outcome is [`Degraded::clean`].
@@ -187,29 +168,6 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
         )
         .map(Degraded::clean),
     }
-}
-
-/// Like [`simulate_sync`], with round boundaries recorded into an
-/// [`EventLog`]: an [`Event::RoundStart`] before each send phase and an
-/// [`Event::RoundEnd`] (with the round's message count) after delivery.
-///
-/// # Panics
-///
-/// As [`run_sync`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_sync_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_sync_logged<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-    log: Option<&EventLog>,
-) -> RunReport<SyncRun> {
-    simulate_sync_impl(alg, graph, input, ids, n_announced, max_rounds, log)
 }
 
 pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(

@@ -188,18 +188,17 @@ impl Event {
                 attempt,
                 backoff_ms,
             } => {
+                out.push_str(", \"stage\": ");
+                crate::json::push_string(&mut out, stage);
                 let _ = write!(
                     out,
-                    ", \"stage\": \"{}\", \"attempt\": {attempt}, \"backoff_ms\": {backoff_ms}",
-                    escape(stage)
+                    ", \"attempt\": {attempt}, \"backoff_ms\": {backoff_ms}"
                 );
             }
             Event::Checkpoint { stage, completed } => {
-                let _ = write!(
-                    out,
-                    ", \"stage\": \"{}\", \"completed\": {completed}",
-                    escape(stage)
-                );
+                out.push_str(", \"stage\": ");
+                crate::json::push_string(&mut out, stage);
+                let _ = write!(out, ", \"completed\": {completed}");
             }
             Event::ShardStep {
                 shard,
@@ -217,26 +216,6 @@ impl Event {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escaping for stage names (quotes, backslashes,
-/// and control characters; stages are ASCII identifiers in practice).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[derive(Debug, Default)]

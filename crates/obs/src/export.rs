@@ -77,33 +77,20 @@ fn duration(span: &SpanRecord, mode: ExportMode) -> u64 {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn emit_slice(out: &mut Vec<String>, span: &SpanRecord, start: u64, budget: u64, mode: ExportMode) {
     let mut args = String::new();
     for (i, (c, v)) in span.counters().enumerate() {
         let sep = if i == 0 { "" } else { ", " };
         let _ = write!(args, "{sep}\"{}\": {v}", c.as_str());
     }
-    out.push(format!(
-        "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {start}, \"dur\": {budget}, \
-         \"pid\": 0, \"tid\": 0, \"args\": {{{args}}}}}",
-        json_escape(span.name()),
-    ));
+    let mut slice = String::from("{\"name\": ");
+    crate::json::push_string(&mut slice, span.name());
+    let _ = write!(
+        slice,
+        ", \"ph\": \"X\", \"ts\": {start}, \"dur\": {budget}, \
+         \"pid\": 0, \"tid\": 0, \"args\": {{{args}}}}}"
+    );
+    out.push(slice);
     // Children are laid out sequentially from the parent's start, each
     // clamped to the time remaining in the parent — so every slice nests
     // inside its parent's interval by construction.

@@ -36,6 +36,9 @@
 //!   curve-fit harness regresses against theory (`lcl_bench::curves`).
 //! * [`export`] — Chrome trace-event JSON, flamegraph folded stacks,
 //!   and Prometheus-style text exposition.
+//! * [`json`] — the workspace's one JSON codec: an RFC 8259 reader into
+//!   a borrowed, order-preserving value with raw number text, and the
+//!   string escaper every JSON writer uses.
 //!
 //! # Determinism contract
 //!
@@ -66,6 +69,7 @@ pub mod counter;
 pub mod event;
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod registry;
 pub mod trace;
 
@@ -81,11 +85,12 @@ use std::sync::Arc;
 /// The uniform result of an instrumented simulator run: the
 /// model-specific outcome plus the execution trace.
 ///
-/// Every model entrypoint (`local::simulate`, `volume::simulate`,
-/// `volume::simulate_lca`, `grid::simulate`) returns one of these, and
-/// the facade's `Simulation` trait abstracts over them. When the run
-/// was event-logged (the `*_logged` entrypoints), the log rides along
-/// and [`RunReport::events`] exposes it.
+/// Every model entrypoint (`local::simulate_with`,
+/// `volume::simulate_with`, `volume::simulate_lca_with`,
+/// `grid::simulate_with`, ...) returns one of these, and the facade's
+/// `Simulation` trait abstracts over them. When the run was event-logged
+/// (`RunOptions::events`), the log rides along and
+/// [`RunReport::events`] exposes it.
 #[derive(Clone, Debug)]
 pub struct RunReport<T> {
     /// The model-specific run result (labeling, rounds, probes, ...).

@@ -69,7 +69,8 @@ impl Registry {
             } else {
                 format!("{label}#{n}")
             };
-            out.push_str(&format!("\"{}\": {{\n", escape(&key)));
+            crate::json::push_string(&mut out, &key);
+            out.push_str(": {\n");
             out.push_str(&format!("\"order\": {i},\n"));
             out.push_str("\"trace\":\n");
             out.push_str(&trace.to_json());
@@ -83,16 +84,6 @@ impl Registry {
         out.push_str("}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -134,6 +125,22 @@ mod tests {
         let json = reg.to_json();
         assert!(json.contains("\"e1/stage\""));
         assert!(json.contains("\"e1/stage#2\""));
+    }
+
+    #[test]
+    fn labels_with_control_characters_round_trip() {
+        let reg = Registry::new();
+        let label = "e1/line\nbreak\ttab\u{1}ctl \"q\" \\";
+        reg.record(label, tiny("tower", 3));
+        let json = reg.to_json();
+        // Escaped, not written raw: strict readers reject raw controls.
+        assert!(json.contains(r#""e1/line\nbreak\ttab\u0001ctl \"q\" \\": {"#));
+        assert!(!json.contains('\t') && !json.contains('\u{1}'));
+        let doc = crate::json::parse(&json).expect("registry JSON parses");
+        let entries = doc.as_obj().expect("top-level object");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].0, label);
+        assert_eq!(entries[0].1.get("order").and_then(|o| o.as_u64()), Some(0));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The shard wire reuses the classification service's protocol layer
 //! ([`lcl_service::protocol`]) for framing: every command and reply is
-//! a single newline-terminated flat JSON object. Structured payloads —
-//! halo batches, fault lists, event streams — ride inside string
-//! fields using two reserved control characters (`\u{1e}` between
-//! entries, `\u{1f}` between fields of an entry), which the protocol's
-//! escaper round-trips losslessly as ``/``.
+//! a single newline-terminated flat JSON object, read by
+//! [`parse_flat_object`] over the workspace's one JSON codec
+//! ([`lcl_obs::json`]) and written with its escaper. Structured
+//! payloads — halo batches, fault lists, event streams — ride inside
+//! string fields using two reserved control characters (`\u{1e}`
+//! between entries, `\u{1f}` between fields of an entry), which the
+//! escaper round-trips losslessly as `\u001e`/`\u001f`.
 //!
 //! Everything on this wire is plain data: halo payloads are encoded by
 //! the only processes that know the message type (the workers), and
@@ -16,8 +18,9 @@
 use std::io::{BufRead, Write};
 
 use lcl_faults::NodeFault;
+use lcl_obs::json;
 use lcl_obs::Event;
-use lcl_service::protocol::{escape_into, parse_flat_object, Scalar};
+use lcl_service::protocol::{parse_flat_object, Scalar};
 use lcl_service::push_str_field;
 
 use crate::spec::{AlgSpec, GraphSpec, InputSpec};
@@ -81,9 +84,8 @@ pub fn push_bool_field(out: &mut String, name: &str, value: bool) {
 
 /// Starts a command/reply line: `{"op":"<op>"`.
 pub fn open_line(op: &str) -> String {
-    let mut out = String::from("{\"op\":\"");
-    escape_into(&mut out, op);
-    out.push('"');
+    let mut out = String::from("{\"op\":");
+    json::push_string(&mut out, op);
     out
 }
 

@@ -158,4 +158,34 @@ if [ "$FLOODS" -ne 1 ]; then
   exit 1
 fi
 
+echo "== one-definition gate (one JSON codec) =="
+# Every JSON reader and writer goes through lcl_obs::json
+# (crates/obs/src/json.rs). A second decoder of `\u` escapes or a
+# second string escaper is a copy that accepts or writes a different
+# language. Counted outside `#[cfg(test)]` modules, baseline 0 each
+# outside json.rs. The Prometheus text escaper (prom_escape) writes a
+# different format and is exempt.
+UESCAPES=$(find crates/*/src -name '*.rs' ! -path crates/obs/src/json.rs | sort \
+  | xargs awk -v pat="b'u'" '
+  FNR==1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest { c += gsub(pat, "") }
+  END { print c + 0 }')
+if [ "$UESCAPES" -ne 0 ]; then
+  echo "found $UESCAPES non-test \\u-escape decoding arm(s) (b'u') outside crates/obs/src/json.rs (baseline 0)"
+  exit 1
+fi
+ESCAPERS=$(find crates/*/src -name '*.rs' ! -path crates/obs/src/json.rs | sort | xargs awk '
+  FNR==1 { intest = 0 }
+  /#\[cfg\(test\)\]/ { intest = 1 }
+  !intest && /fn [a-z0-9_]*(escape[a-z0-9_]*|json_string)[(<]/ && !/fn prom_escape[(<]/ {
+    c++; print FILENAME ": " $0
+  }
+  END { print c + 0 }')
+if [ "$(echo "$ESCAPERS" | tail -n 1)" -ne 0 ]; then
+  echo "JSON string escapers defined outside crates/obs/src/json.rs (baseline 0):"
+  echo "$ESCAPERS" | sed '$d'
+  exit 1
+fi
+
 echo "all checks passed"
